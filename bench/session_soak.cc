@@ -22,10 +22,15 @@
 // configures the server (admission.h). The artifact (default
 // results/BENCH_sessions.json, override/disable via MAK_BENCH_JSON)
 // carries only deterministic entries so tools/metrics_diff can gate it.
+// Process-tier state files live in a fresh directory under the system temp
+// dir (TMPDIR), removed at exit, so concurrent soaks never share them.
+#include <stdlib.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -113,6 +118,35 @@ OpenRequest make_request(const Options& opt, std::size_t index) {
   return request;
 }
 
+// A per-run scratch directory, deleted (with its contents) on scope exit.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::error_code error;
+    const auto base = std::filesystem::temp_directory_path(error);
+    if (error) {
+      std::fprintf(stderr, "session_soak: no temp dir: %s\n",
+                   error.message().c_str());
+      std::exit(2);
+    }
+    path_ = (base / "mak-session-soak-XXXXXX").string();
+    if (mkdtemp(path_.data()) == nullptr) {
+      std::perror("session_soak: mkdtemp");
+      std::exit(2);
+    }
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -129,7 +163,8 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig config = serve::server_from_env();
   if (config.max_queue < opt.sessions) config.max_queue = opt.sessions;
-  SessionServer server(config, "/tmp/mak-session-soak");
+  const ScratchDir scratch;  // outlives the server, which drains into it
+  SessionServer server(config, scratch.path());
 
   // ---- open phase ------------------------------------------------------
   std::vector<std::uint64_t> ids;

@@ -223,6 +223,7 @@ bool SessionServer::activate(Session& session) {
   }
   session.state = SessionState::kResident;
   session.last_run_round = round_;
+  session.ran_since_activation = false;
   ++resident_;
   return true;
 }
@@ -230,11 +231,15 @@ bool SessionServer::activate(Session& session) {
 bool SessionServer::make_room() {
   // Evict the least-recently-scheduled resident whose state can leave
   // memory (serializable thread-tier sessions and all process-tier ones;
-  // frozen-in-place sessions keep their slot by definition).
+  // frozen-in-place sessions keep their slot by definition). A session
+  // becomes a candidate only once it has run a batch since it was last
+  // activated: otherwise one admit pass over a long queue would construct
+  // and evict every queued session in turn without stepping any of them.
   Session* victim = nullptr;
   int victim_rank = 0;
   for (auto& [id, session] : sessions_) {
     if (session.state != SessionState::kResident) continue;
+    if (!session.ran_since_activation) continue;
     if (session.tier == IsolationTier::kThread && !session.snapshot_capable) {
       continue;
     }
@@ -261,10 +266,12 @@ bool SessionServer::make_room() {
   return true;
 }
 
-void SessionServer::admit_from_queue() {
+std::size_t SessionServer::admit_from_queue() {
   // Bound one pass by the queue length at entry: evictions requeue their
-  // victims at the back, and without the bound a full server would churn
-  // evict→admit→evict forever inside a single call.
+  // victims at the back, and a victim re-admitted in the same pass would
+  // only evict another session. Sessions admitted in this pass have not run
+  // yet, so they are never victims (make_room).
+  std::size_t admitted = 0;
   std::size_t budget = queue_.size();
   while (!queue_.empty() && budget-- > 0) {
     const std::uint64_t id = queue_.front();
@@ -276,7 +283,9 @@ void SessionServer::admit_from_queue() {
     if (resident_ >= config_.max_resident && !make_room()) break;
     queue_.pop_front();
     activate(it->second);
+    ++admitted;
   }
+  return admitted;
 }
 
 void SessionServer::suspend_session(Session& session, bool count_as_quota) {
@@ -356,6 +365,7 @@ std::size_t SessionServer::run_thread_batch(Session& session,
   session.steps = session.live->steps();
   session.now = session.live->now();
   session.last_run_round = round_;
+  session.ran_since_activation = true;
   if (session.live->finished()) {
     finalize(session, session.live->result());
   }
@@ -429,6 +439,7 @@ std::size_t SessionServer::run_process_batch(Session& session,
                 std::chrono::steady_clock::now() - wall_start)
                 .count();
         session.last_run_round = round_;
+        session.ran_since_activation = true;
         if (outcome->finished) {
           const harness::RunResult& result = *outcome->result;
           charge(session, outcome->steps_run,
@@ -497,7 +508,7 @@ std::size_t SessionServer::tick() {
   auto& registry = MetricsRegistry::global();
   ++round_;
   registry.counter(metric::kServeTicks).add(1);
-  admit_from_queue();
+  last_admitted_ = admit_from_queue();
   std::size_t total = 0;
   const std::size_t tenants = tenant_order_.size();
   for (std::size_t i = 0; i < tenants; ++i) {
@@ -542,13 +553,16 @@ std::size_t SessionServer::tick() {
 
 std::size_t SessionServer::run_until_idle() {
   std::size_t total = 0;
-  // Two consecutive empty rounds, not one: deprioritized tenants only run
-  // on even rounds, so a single zero round can precede real progress.
+  // A round is idle when it ran no steps and admitted nothing; a queued
+  // session that cannot get a slot (every resident frozen in place) stays
+  // queued rather than spinning the loop. Two consecutive idle rounds, not
+  // one: deprioritized tenants only run on even rounds, so a single zero
+  // round can precede real progress.
   int idle_rounds = 0;
   while (idle_rounds < 2) {
     const std::size_t ran = tick();
     total += ran;
-    if (ran == 0 && queue_.empty()) {
+    if (ran == 0 && last_admitted_ == 0) {
       ++idle_rounds;
     } else {
       idle_rounds = 0;

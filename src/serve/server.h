@@ -120,13 +120,15 @@ class SessionServer {
   // reason and no server state changes.
   OpenOutcome open(const OpenRequest& request);
 
-  // One scheduling round: admit from the queue (evicting LRU residents to
-  // make room when it is backed up), then run one batch per schedulable
-  // tenant in round-robin order. Returns crawl steps executed this round.
+  // One scheduling round: admit from the queue (evicting LRU residents that
+  // have run since their activation to make room when it is backed up), then
+  // run one batch per schedulable tenant in round-robin order. Returns crawl
+  // steps executed this round.
   std::size_t tick();
 
   // Tick until no session can make progress (all finished, suspended,
-  // quarantined, or quota-frozen). Returns total steps executed.
+  // quarantined, or quota-frozen; or queued behind slots no eviction can
+  // free). Returns total steps executed.
   std::size_t run_until_idle();
 
   // Explicit suspend: checkpoint the session and free its resident slot
@@ -183,6 +185,7 @@ class SessionServer {
     std::size_t steps = 0;
     support::VirtualMillis now = 0;
     std::uint64_t last_run_round = 0;
+    bool ran_since_activation = false;  // evictable only once true
     std::optional<harness::RunResult> final_result;
     std::size_t kill_at_step = 0;
     std::size_t hang_at_step = 0;
@@ -202,8 +205,10 @@ class SessionServer {
   bool soft_exceeded(const Tenant& tenant) const;
   std::size_t step_allowance(const Tenant& tenant) const;
 
-  void admit_from_queue();
-  bool make_room();  // evict one LRU resident; false if none evictable
+  std::size_t admit_from_queue();  // returns sessions admitted
+  // Evict the LRU resident among those that ran a batch since activation;
+  // false if none is evictable.
+  bool make_room();
   bool activate(Session& session);  // queue → resident (construct/load)
   void suspend_session(Session& session, bool count_as_quota);
   void enforce_quota_suspend(Tenant& tenant);
@@ -225,6 +230,7 @@ class SessionServer {
   std::size_t resident_ = 0;
   std::size_t tenant_cursor_ = 0;
   std::uint64_t round_ = 0;
+  std::size_t last_admitted_ = 0;  // sessions admitted by the latest tick()
   std::uint64_t next_id_ = 1;
   bool shutting_down_ = false;
   ServerStats stats_;

@@ -393,6 +393,81 @@ TEST(SessionServer, SchedulingIsFairAcrossEqualTenants) {
   EXPECT_GE(SessionServer::jain_index(allocations), 0.9);
 }
 
+// Regression: one admit pass over a queue longer than max_resident used to
+// construct each queued session and evict it again before it ever ran.
+TEST(SessionServer, NoSessionIsEvictedBeforeItRuns) {
+  ServerConfig config;
+  config.max_resident = 2;
+  config.batch_steps = 64;  // every 20 s session finishes in one batch
+  SessionServer server(config);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 6; ++i) {
+    OpenRequest request;
+    request.tenant = "t" + std::to_string(i % 2);
+    request.app = "Drupal";
+    request.crawler = "MAK";
+    request.config = short_config(0x600 + i);
+    const auto outcome = server.open(request);
+    ASSERT_TRUE(outcome.admitted());
+    ids.push_back(outcome.id);
+  }
+  server.run_until_idle();
+  for (const auto id : ids) {
+    EXPECT_EQ(server.state(id), SessionState::kFinished);
+  }
+  EXPECT_EQ(server.stats().evicted, 0u);
+}
+
+TEST(SessionServer, LateTenantIsAdmittedWhileEarlyTenantFillsEverySlot) {
+  ServerConfig config;
+  config.max_resident = 3;
+  config.batch_steps = 4;
+  SessionServer server(config);
+  OpenRequest request;
+  request.tenant = "a";
+  request.app = "Drupal";
+  request.crawler = "MAK";
+  request.config = short_config();
+  request.config.budget = 600000;  // long enough to hold a slot throughout
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(server.open(request).admitted());
+  server.tick();
+  ASSERT_EQ(server.resident_count(), 3u);
+
+  request.tenant = "b";
+  const auto late = server.open(request);
+  ASSERT_TRUE(late.admitted());
+  server.tick();
+  EXPECT_EQ(server.state(late.id), SessionState::kResident);
+  EXPECT_GT(server.tenant_stats("b").steps, 0u);
+}
+
+// Regression: a session queued behind a slot held by a frozen-in-place
+// session can never be admitted; run_until_idle used to tick forever.
+TEST(SessionServer, RunUntilIdleReturnsWhenQueuedSessionCannotBeAdmitted) {
+  ServerConfig config;
+  config.max_resident = 1;
+  config.batch_steps = 3;
+  SessionServer server(config);
+  OpenRequest request;
+  request.tenant = "t";
+  request.app = "Drupal";
+  request.crawler = "WebExplor";  // cannot snapshot: freezes in place
+  request.config = short_config();
+  const auto frozen = server.open(request);
+  ASSERT_TRUE(frozen.admitted());
+  server.tick();
+  ASSERT_TRUE(server.suspend(frozen.id));
+  ASSERT_EQ(server.resident_count(), 1u);
+
+  request.crawler = "MAK";
+  const auto waiting = server.open(request);
+  ASSERT_TRUE(waiting.admitted());
+  EXPECT_EQ(server.run_until_idle(), 0u);
+  EXPECT_EQ(server.state(waiting.id), SessionState::kQueued);
+  EXPECT_EQ(server.state(frozen.id), SessionState::kSuspended);
+  EXPECT_EQ(server.queue_depth(), 1u);
+}
+
 // ------------------------------------------------------ process tier
 
 class ProcessTierTest : public ::testing::Test {
