@@ -19,18 +19,16 @@
 //                [--process-every N] [--kill-chaos] [--fairness-ticks K]
 //
 // MAK_FAULT_PROFILE / MAK_DRIFT apply to every session; MAK_SERVE_*
-// configures the server (admission.h). The artifact (default
-// results/BENCH_sessions.json, override/disable via MAK_BENCH_JSON)
+// configures the server (admission.h). The JSON artifact is written only
+// where MAK_BENCH_JSON names a file (the committed baseline,
+// results/BENCH_sessions.json, is re-recorded by naming it explicitly) and
 // carries only deterministic entries so tools/metrics_diff can gate it.
 // Process-tier state files live in a fresh directory under the system temp
 // dir (TMPDIR), removed at exit, so concurrent soaks never share them.
-#include <stdlib.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -40,6 +38,7 @@
 #include "httpsim/fault.h"
 #include "serve/server.h"
 #include "serve/worker.h"
+#include "support/fs.h"
 #include "webapp/drift.h"
 
 namespace {
@@ -118,35 +117,6 @@ OpenRequest make_request(const Options& opt, std::size_t index) {
   return request;
 }
 
-// A per-run scratch directory, deleted (with its contents) on scope exit.
-class ScratchDir {
- public:
-  ScratchDir() {
-    std::error_code error;
-    const auto base = std::filesystem::temp_directory_path(error);
-    if (error) {
-      std::fprintf(stderr, "session_soak: no temp dir: %s\n",
-                   error.message().c_str());
-      std::exit(2);
-    }
-    path_ = (base / "mak-session-soak-XXXXXX").string();
-    if (mkdtemp(path_.data()) == nullptr) {
-      std::perror("session_soak: mkdtemp");
-      std::exit(2);
-    }
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(path_, ignored);
-  }
-  ScratchDir(const ScratchDir&) = delete;
-  ScratchDir& operator=(const ScratchDir&) = delete;
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,7 +133,8 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig config = serve::server_from_env();
   if (config.max_queue < opt.sessions) config.max_queue = opt.sessions;
-  const ScratchDir scratch;  // outlives the server, which drains into it
+  // Outlives the server, which drains into it.
+  const mak::support::fs::TempDir scratch("mak-session-soak");
   SessionServer server(config, scratch.path());
 
   // ---- open phase ------------------------------------------------------
@@ -267,8 +238,7 @@ int main(int argc, char** argv) {
   entries.push_back({"overload_shed_typed",
                      static_cast<double>(shed_queue_full), "rejections",
                      true});
-  harness::write_bench_json_file("MAK_BENCH_JSON",
-                                 "results/BENCH_sessions.json",
-                                 "session_soak", entries, nullptr);
+  harness::write_bench_json_file("MAK_BENCH_JSON", "", "session_soak",
+                                 entries, nullptr);
   return lost == 0 ? 0 : 1;
 }

@@ -25,12 +25,6 @@ constexpr int kFormat = 1;
 constexpr std::string_view kPayloadId = "harness.checkpoint";
 constexpr int kPayloadVersion = 1;
 
-std::string crc_hex(std::uint32_t crc) {
-  char buffer[9];
-  std::snprintf(buffer, sizeof(buffer), "%08x", crc);
-  return std::string(buffer);
-}
-
 apps::Platform platform_from_int(std::int64_t value) {
   switch (value) {
     case 0:
@@ -217,7 +211,7 @@ std::string run_digest(const apps::AppInfo& app_info, CrawlerKind kind,
            << config.fault.describe() << '\n'
            << config.drift.describe() << '\n'
            << repetitions;
-  return crc_hex(snapshot::crc32(identity.str()));
+  return snapshot::crc_hex(snapshot::crc32(identity.str()));
 }
 
 ExperimentCheckpoint read_checkpoint_file(const std::string& path,
@@ -226,29 +220,14 @@ ExperimentCheckpoint read_checkpoint_file(const std::string& path,
   if (!contents.has_value()) {
     throw SnapshotError("checkpoint: cannot open " + path);
   }
-  const std::string& text = *contents;
-
-  const auto outer = support::json::parse(text);
-  if (!outer.has_value() || !outer->is_object()) {
-    throw SnapshotError("checkpoint: not a JSON object: " + path);
-  }
-  if (snapshot::require_string(*outer, "magic") != kMagic) {
-    throw SnapshotError("checkpoint: bad magic in " + path);
-  }
-  if (snapshot::require_int(*outer, "format") != kFormat) {
-    throw SnapshotError("checkpoint: unsupported format in " + path);
-  }
-  const std::string& digest = snapshot::require_string(*outer, "digest");
+  const Value outer =
+      snapshot::unseal(*contents, kMagic, kFormat, "checkpoint " + path);
+  const std::string& digest = snapshot::require_string(outer, "digest");
   if (!expected_digest.empty() && digest != expected_digest) {
     throw SnapshotError("checkpoint: digest mismatch in " + path +
                         " (file belongs to a different experiment)");
   }
-  const std::string& payload = snapshot::require_string(*outer, "payload");
-  const std::string& crc = snapshot::require_string(*outer, "crc32");
-  if (crc != crc_hex(snapshot::crc32(payload))) {
-    throw SnapshotError("checkpoint: CRC mismatch in " + path);
-  }
-
+  const std::string& payload = snapshot::require_string(outer, "payload");
   const auto state = support::json::parse(payload);
   if (!state.has_value()) {
     throw SnapshotError("checkpoint: unparsable payload in " + path);
@@ -433,16 +412,12 @@ void CheckpointManager::write(const ExperimentCheckpoint& checkpoint) {
   if (checkpoint.run.has_value()) {
     state.emplace("run", *checkpoint.run);
   }
-  const std::string payload = support::json::dump(Value(std::move(state)));
-
-  support::json::Object outer;
-  outer.emplace("magic", std::string(kMagic));
-  outer.emplace("format", static_cast<double>(kFormat));
-  outer.emplace("digest", digest_);
-  outer.emplace("seq", static_cast<double>(next_seq_));
-  outer.emplace("crc32", crc_hex(snapshot::crc32(payload)));
-  outer.emplace("payload", payload);
-  const std::string text = support::json::dump(Value(std::move(outer)));
+  support::json::Object binding;
+  binding.emplace("digest", digest_);
+  binding.emplace("seq", static_cast<double>(next_seq_));
+  const std::string text =
+      snapshot::seal(kMagic, kFormat, std::move(binding),
+                     support::json::dump(Value(std::move(state))));
 
   auto& disk = sfs::default_fs();
   disk.create_directories(config_.dir);
@@ -451,7 +426,7 @@ void CheckpointManager::write(const ExperimentCheckpoint& checkpoint) {
   // Torn writes that report success land here as a corrupt-but-named file;
   // the CRC envelope makes restore() skip it, so they cost recompute, not
   // correctness. Clean failures surface as SnapshotError for the caller.
-  if (!disk.write_file(tmp, text + "\n", /*durable=*/true)) {
+  if (!disk.write_file(tmp, text, /*durable=*/true)) {
     disk.remove(tmp);  // best effort
     throw SnapshotError("checkpoint: write failed: " + tmp);
   }

@@ -1,6 +1,6 @@
 // Crash-resilient experiment checkpoints (docs/robustness.md).
 //
-// A checkpoint file is a single JSON object:
+// A checkpoint file is one CRC envelope (support::snapshot::seal):
 //
 //   {"magic": "mak-ckpt", "format": 1, "digest": "<8-hex config digest>",
 //    "seq": N, "crc32": "<8-hex>", "payload": "<JSON string>"}

@@ -11,9 +11,9 @@
 
 #include "baselines/qexplore.h"
 #include "baselines/webexplor.h"
-#include "core/browser.h"
 #include "harness/checkpoint.h"
-#include "httpsim/network.h"
+#include "harness/crawl_run.h"
+#include "support/env.h"
 #include "support/log.h"
 #include "support/metric_names.h"
 #include "support/metrics.h"
@@ -195,9 +195,6 @@ struct CheckpointContext {
   const support::json::Value* restore_run = nullptr;
 };
 
-constexpr std::string_view kRunStateId = "harness.run";
-constexpr int kRunStateVersion = 1;
-
 // A failed checkpoint write (ENOSPC, torn-write detection, failed rename)
 // costs at most recompute — restore-newest-valid falls back to the previous
 // file — so it must never kill the run it's protecting.
@@ -214,6 +211,9 @@ void write_checkpoint_tolerant(CheckpointManager& manager,
   }
 }
 
+// Drives one CrawlRun straight through its budget: resume from the
+// checkpointed run state when there is one, poll the supervisor between
+// steps, write mid-run checkpoints on their cadence.
 RunResult run_one(const apps::AppInfo& app_info, CrawlerKind kind,
                   const RunConfig& config, const CheckpointContext* ckpt) {
   namespace metric = support::metric;
@@ -229,251 +229,66 @@ RunResult run_one(const apps::AppInfo& app_info, CrawlerKind kind,
        3600000});
   runs_counter.add();
 
-  // Fresh application instance per run: sessions, user content and coverage
-  // all start clean, like restarting the container between runs.
-  auto app = app_info.factory();
-
-  // The run owns its clock (see the ownership rule in support/clock.h); the
-  // span below is destroyed before the clock, charging the whole run's wall
-  // and virtual cost.
-  support::SimClock clock;
-  const support::MetricSpan run_span(run_wall_us, &run_virtual_ms, &clock);
-  support::Deadline deadline(clock, config.budget);
-  httpsim::Network network(clock);
-  network.register_host(app->host(), *app);
-
-  support::Rng master(config.seed);
-  core::Browser browser(network, app->seed_url(), master.fork(),
-                        config.fill_strategy);
-  auto crawler = make_crawler(kind, master.fork());
-
-  // Fault injection: a per-run injector with its own RNG stream (forked
-  // after the browser/crawler streams, so a disabled profile leaves those
-  // streams — and therefore the whole run — bit-identical to a build
-  // without fault injection).
-  std::optional<httpsim::FaultInjector> injector;
-  if (config.fault.enabled()) {
-    injector.emplace(config.fault, master.fork().next(), clock);
-    network.set_fault_injector(&*injector);
-  }
-  if (config.fault.retry.active()) {
-    browser.set_retry_policy(config.fault.retry);
-  }
-
-  // App-side drift: its own RNG stream, forked after the injector's, so a
-  // disabled profile leaves every earlier stream — and therefore the whole
-  // run — bit-identical to a build without the drift layer.
-  std::optional<webapp::DriftEngine> drift;
-  if (config.drift.enabled()) {
-    drift.emplace(config.drift, master.fork().next(), clock);
-    app->set_drift_engine(&*drift);
-  }
-
-  RunResult result;
-  result.app = app_info.name;
-  result.crawler = std::string(crawler->name());
-  result.platform = app_info.platform;
-  result.total_lines = app->code_model().total_lines();
-
-  namespace snapshot = support::snapshot;
-  support::VirtualMillis next_sample = 0;
-  std::size_t step_index = 0;
+  CrawlRun run(app_info, kind, config);
+  // Destroyed before the run, charging the whole run's wall and virtual
+  // cost (the clock is still at zero here, also on resume).
+  const support::MetricSpan run_span(run_wall_us, &run_virtual_ms,
+                                     &run.clock());
 
   // Mid-run resume is only possible when the crawler can snapshot itself;
   // Q-learning baselines restart the repetition instead (bit-identical
   // anyway, because every repetition is a pure function of its seed).
-  const support::json::Value* restore_run =
-      ckpt != nullptr ? ckpt->restore_run : nullptr;
-  if (restore_run != nullptr && crawler->snapshotable() == nullptr) {
-    restore_run = nullptr;
+  if (ckpt != nullptr && ckpt->restore_run != nullptr &&
+      run.snapshot_capable()) {
+    run.load_state(*ckpt->restore_run);
+    MAK_LOG_INFO << app_info.name << " / " << run.crawler_name()
+                 << ": resumed at step " << run.steps() << ", t="
+                 << run.now() << " ms";
   }
-
-  if (restore_run == nullptr) {
-    crawler->start(browser);
-    if (config.trace != nullptr) {
-      core::TraceEvent event;
-      event.kind = core::TraceEvent::Kind::kSeedLoad;
-      event.time = clock.now();
-      event.url = browser.page().url.to_string();
-      event.status = browser.page().status;
-      event.new_links = crawler->links_discovered();
-      event.covered_lines = app->tracker().covered_lines();
-      config.trace->record(std::move(event));
-    }
-  } else {
-    // Restore every mutable component. Construction above ran in the exact
-    // order of a fresh run, so the RNG fork topology matches; load_state
-    // then overwrites each stream with its checkpointed position.
-    const support::json::Value& run_state = *restore_run;
-    snapshot::check_header(run_state, kRunStateId, kRunStateVersion);
-    clock.restore(static_cast<support::VirtualMillis>(
-        snapshot::require_index(run_state, "clock_ms")));
-    next_sample = static_cast<support::VirtualMillis>(
-        snapshot::require_index(run_state, "next_sample"));
-    step_index =
-        static_cast<std::size_t>(snapshot::require_index(run_state, "step"));
-    for (const auto& entry : snapshot::require_array(run_state, "series")) {
-      if (!entry.is_array() || entry.as_array().size() != 2 ||
-          !entry.as_array()[0].is_number() ||
-          !entry.as_array()[1].is_number()) {
-        throw support::SnapshotError("run state: malformed series point");
-      }
-      result.series.record(static_cast<support::VirtualMillis>(
-                               entry.as_array()[0].as_number()),
-                           static_cast<std::size_t>(
-                               entry.as_array()[1].as_number()));
-    }
-    app->load_state(snapshot::require(run_state, "app"));
-    browser.load_state(snapshot::require(run_state, "browser"));
-    crawler->snapshotable()->load_state(snapshot::require(run_state, "crawler"));
-    if (injector.has_value()) {
-      injector->load_state(snapshot::require(run_state, "injector"));
-    }
-    if (drift.has_value()) {
-      drift->load_state(snapshot::require(run_state, "drift"));
-    }
-    MAK_LOG_INFO << app_info.name << " / " << result.crawler
-                 << ": resumed at step " << step_index << ", t="
-                 << clock.now() << " ms";
-  }
+  run.start();
 
   // Periodic mid-run checkpoints on a virtual-time (and optional step)
   // cadence. Captured state is "top of loop": the next iteration after a
   // resume sees exactly what the uninterrupted run saw.
   CheckpointManager* manager =
-      ckpt != nullptr && crawler->snapshotable() != nullptr ? ckpt->manager
-                                                            : nullptr;
-  support::VirtualMillis last_checkpoint = clock.now();
-  const auto write_checkpoint = [&]() {
-    auto run_state = snapshot::make_state(kRunStateId, kRunStateVersion);
-    run_state.emplace("clock_ms", static_cast<double>(clock.now()));
-    run_state.emplace("next_sample", static_cast<double>(next_sample));
-    run_state.emplace("step", static_cast<double>(step_index));
-    support::json::Array series;
-    series.reserve(result.series.points().size());
-    for (const auto& point : result.series.points()) {
-      support::json::Array pair;
-      pair.emplace_back(static_cast<double>(point.time));
-      pair.emplace_back(static_cast<double>(point.covered_lines));
-      series.emplace_back(std::move(pair));
-    }
-    run_state.emplace("series", support::json::Value(std::move(series)));
-    run_state.emplace("app", app->save_state());
-    run_state.emplace("browser", browser.save_state());
-    run_state.emplace("crawler", crawler->snapshotable()->save_state());
-    if (injector.has_value()) {
-      run_state.emplace("injector", injector->save_state());
-    }
-    if (drift.has_value()) {
-      run_state.emplace("drift", drift->save_state());
-    }
-    ExperimentCheckpoint out;
-    out.repetitions = ckpt->repetitions;
-    out.completed = *ckpt->completed;
-    out.in_flight_rep = ckpt->rep_index;
-    out.run = support::json::Value(std::move(run_state));
-    write_checkpoint_tolerant(*manager, out);
-    last_checkpoint = clock.now();
-  };
+      ckpt != nullptr && run.snapshot_capable() ? ckpt->manager : nullptr;
+  support::VirtualMillis last_checkpoint = run.now();
   const auto checkpoint_due = [&]() {
     const CheckpointConfig& cc = manager->config();
-    if (cc.every_steps > 0 && step_index % cc.every_steps == 0) return true;
-    return cc.interval > 0 && clock.now() - last_checkpoint >= cc.interval;
+    if (cc.every_steps > 0 && run.steps() % cc.every_steps == 0) return true;
+    return cc.interval > 0 && run.now() - last_checkpoint >= cc.interval;
   };
 
   std::optional<RunSupervisor> supervisor;
   if (config.supervisor.enabled()) supervisor.emplace(config.supervisor);
 
-  while (!deadline.expired()) {
+  std::string abort_reason;
+  while (!run.finished()) {
     if (supervisor.has_value()) {
-      std::string reason = supervisor->should_abort(step_index);
-      if (!reason.empty()) {
-        result.aborted = true;
-        result.abort_reason = std::move(reason);
-        MAK_LOG_WARN << app_info.name << " / " << result.crawler
-                     << ": aborted (" << result.abort_reason << ") after "
-                     << step_index << " steps";
+      abort_reason = supervisor->should_abort(run.steps());
+      if (!abort_reason.empty()) {
+        MAK_LOG_WARN << app_info.name << " / " << run.crawler_name()
+                     << ": aborted (" << abort_reason << ") after "
+                     << run.steps() << " steps";
         break;
       }
     }
-    // Xdebug-style any-time sampling: record coverage at interval
-    // boundaries that have passed.
-    while (clock.now() >= next_sample) {
-      result.series.record(next_sample, app->tracker().covered_lines());
-      next_sample += config.sample_interval;
-    }
-    clock.advance(config.think_time);
-    const std::size_t interactions_before = browser.interactions();
-    const std::size_t links_before = crawler->links_discovered();
-    const std::size_t retries_before = browser.retries();
-    crawler->step(browser);
-    ++step_index;
+    run.step();
     if (supervisor.has_value()) supervisor->heartbeat();
-    if (config.trace != nullptr) {
-      core::TraceEvent event;
-      event.kind = browser.interactions() > interactions_before
-                       ? core::TraceEvent::Kind::kInteraction
-                       : core::TraceEvent::Kind::kRecovery;
-      event.time = clock.now();
-      event.step = step_index;
-      event.action = crawler->last_action();
-      event.url = browser.page().url.to_string();
-      event.status = browser.page().status;
-      event.new_links = crawler->links_discovered() - links_before;
-      event.covered_lines = app->tracker().covered_lines();
-      event.retries = browser.retries() - retries_before;
-      config.trace->record(std::move(event));
+    if (manager != nullptr && checkpoint_due()) {
+      ExperimentCheckpoint out;
+      out.repetitions = ckpt->repetitions;
+      out.completed = *ckpt->completed;
+      out.in_flight_rep = ckpt->rep_index;
+      out.run = run.save_state();
+      write_checkpoint_tolerant(*manager, out);
+      last_checkpoint = run.now();
     }
-    if (config.step_hook) config.step_hook(step_index);
-    if (manager != nullptr && checkpoint_due()) write_checkpoint();
-    if (config.crash_at_step != 0 && step_index >= config.crash_at_step) {
+    if (config.crash_at_step != 0 && run.steps() >= config.crash_at_step) {
       throw InjectedCrash();
     }
   }
-  result.steps = step_index;
-  if (result.aborted) {
-    // Partial final sample at the cancellation instant (the budget-boundary
-    // sample of a completed run would misrepresent an aborted one).
-    result.series.record(clock.now(), app->tracker().covered_lines());
-  } else {
-    result.series.record(config.budget, app->tracker().covered_lines());
-  }
-
-  result.final_covered_lines = app->tracker().covered_lines();
-  result.interactions = browser.interactions();
-  result.navigations = browser.navigations();
-  result.links_discovered = crawler->links_discovered();
-  result.covered = app->tracker().lines();
-  result.fault_active = injector.has_value() || config.fault.retry.active();
-  result.retries = browser.retries();
-  result.transport_failures = browser.transport_failures();
-  result.timeouts = browser.timeouts();
-  result.backoff_ms = browser.backoff_ms();
-  if (injector.has_value()) {
-    const auto& counters = injector->counters();
-    result.injected_errors = counters.injected_errors;
-    result.injected_drops = counters.injected_drops;
-    result.latency_spikes = counters.latency_spikes;
-    result.degraded_requests = counters.window_requests;
-  }
-  if (drift.has_value()) {
-    const auto& counters = drift->counters();
-    result.drift_active = true;
-    result.drift_gone_requests = counters.gone_requests;
-    result.drift_rewritten_links = counters.rewritten_links;
-    result.drift_churned_links = counters.churned_links;
-    result.drift_expired_sessions = counters.expired_sessions;
-    result.drift_storm_requests = counters.storm_requests;
-  }
-  if (const rl::RegretAccountant* regret = crawler->regret_accountant();
-      regret != nullptr) {
-    result.regret_tracked = true;
-    result.realized_gain = regret->realized_gain();
-    result.best_arm_gain = regret->best_arm_gain();
-    result.weak_regret = regret->weak_regret();
-    result.cumulative_regret = regret->cumulative_regret();
-    result.policy_updates = regret->updates();
-  }
+  RunResult result = run.result(abort_reason);
   MAK_LOG_INFO << app_info.name << " / " << result.crawler << ": covered "
                << result.final_covered_lines << "/" << result.total_lines
                << " lines in " << result.interactions << " interactions";
@@ -543,12 +358,8 @@ std::vector<RunResult> run_repeated_checkpointed(const apps::AppInfo& app_info,
 }
 
 std::size_t worker_count(std::size_t repetitions) {
-  const char* env = std::getenv("MAK_THREADS");
-  std::size_t workers = 0;
-  if (env != nullptr && *env != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) workers = static_cast<std::size_t>(parsed);
-  }
+  // Unset or empty: hardware concurrency, capped at 8.
+  std::size_t workers = support::env::require_count("MAK_THREADS", 0, 4096);
   if (workers == 0) {
     workers = std::min<std::size_t>(std::thread::hardware_concurrency(), 8);
     if (workers == 0) workers = 1;
@@ -629,23 +440,18 @@ RunResult run_resumable(const apps::AppInfo& app_info, CrawlerKind kind,
   return result;
 }
 
-namespace {
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-}  // namespace
-
 Protocol protocol_from_env() {
+  // Validated parsing (support/env.h): a typo must not silently run the
+  // default protocol. Zero means "disabled" for the supervisor knobs.
+  namespace env = support::env;
   Protocol p;
-  p.repetitions = env_or("MAK_REPS", 10);
+  p.repetitions = env::require_count("MAK_REPS", 10, 100000);
   p.run.budget = static_cast<support::VirtualMillis>(
-                     env_or("MAK_BUDGET_MINUTES", 30)) *
+                     env::require_count("MAK_BUDGET_MINUTES", 30, 100000)) *
                  support::kMillisPerMinute;
   p.run.sample_interval = static_cast<support::VirtualMillis>(
-                              env_or("MAK_SAMPLE_SECONDS", 30)) *
+                              env::require_count("MAK_SAMPLE_SECONDS", 30,
+                                                 86400)) *
                           support::kMillisPerSecond;
   if (const auto fault = httpsim::FaultProfile::from_env()) {
     p.run.fault = *fault;
@@ -663,18 +469,22 @@ Protocol protocol_from_env() {
       dir != nullptr && *dir != '\0') {
     p.run.checkpoint.dir = dir;
   }
-  p.run.checkpoint.interval = static_cast<support::VirtualMillis>(
-                                  env_or("MAK_CHECKPOINT_SECONDS", 120)) *
-                              support::kMillisPerSecond;
+  p.run.checkpoint.interval =
+      static_cast<support::VirtualMillis>(
+          env::require_count("MAK_CHECKPOINT_SECONDS", 120, 86400)) *
+      support::kMillisPerSecond;
   if (const char* resume = std::getenv("MAK_RESUME");
       resume != nullptr && std::string_view(resume) == "0") {
     p.run.checkpoint.resume = false;
   }
   p.run.supervisor.heartbeat_ms =
-      static_cast<long>(env_or("MAK_HEARTBEAT_SEC", 0)) * 1000;
+      static_cast<long>(env::require_int("MAK_HEARTBEAT_SEC", 0, 0, 86400)) *
+      1000;
   p.run.supervisor.wall_limit_ms =
-      static_cast<long>(env_or("MAK_WALL_LIMIT_SEC", 0)) * 1000;
-  p.run.supervisor.max_steps = env_or("MAK_MAX_STEPS", 0);
+      static_cast<long>(env::require_int("MAK_WALL_LIMIT_SEC", 0, 0, 86400)) *
+      1000;
+  p.run.supervisor.max_steps = static_cast<std::size_t>(
+      env::require_int("MAK_MAX_STEPS", 0, 0, 1000000000000LL));
   return p;
 }
 

@@ -170,7 +170,8 @@ struct RunResult {
   std::size_t attempts = 0;              // worker attempts consumed
 };
 
-// Run one crawler once against a fresh instance of `app_info`'s app.
+// Run one crawler once against a fresh instance of `app_info`'s app: a
+// harness::CrawlRun (harness/crawl_run.h) stepped straight to its budget.
 RunResult run_once(const apps::AppInfo& app_info, CrawlerKind kind,
                    const RunConfig& config);
 
@@ -197,10 +198,12 @@ RunResult run_resumable(const apps::AppInfo& app_info, CrawlerKind kind,
 
 // Repetitions/budget scaling for quick CI runs: reads MAK_REPS,
 // MAK_BUDGET_MINUTES and MAK_SAMPLE_SECONDS environment variables, falling
-// back to the paper's protocol (10 reps, 30 min, 30 s). Robustness knobs
-// ride along: MAK_CHECKPOINT_DIR, MAK_CHECKPOINT_SECONDS (virtual cadence),
-// MAK_RESUME=0 (disable restore), MAK_HEARTBEAT_SEC, MAK_WALL_LIMIT_SEC and
-// MAK_MAX_STEPS.
+// back to the paper's protocol (10 reps, 30 min, 30 s) when unset or empty.
+// Robustness knobs ride along: MAK_CHECKPOINT_DIR, MAK_CHECKPOINT_SECONDS
+// (virtual cadence), MAK_RESUME=0 (disable restore), MAK_HEARTBEAT_SEC,
+// MAK_WALL_LIMIT_SEC and MAK_MAX_STEPS. The numeric knobs (and MAK_THREADS,
+// read by run_repeated) go through support::env: garbage or an out-of-range
+// value exits with a message naming the valid range.
 struct Protocol {
   std::size_t repetitions = 10;
   RunConfig run;

@@ -38,22 +38,6 @@ constexpr std::string_view kBundleMagic = "mak-bundle";
 constexpr int kWorkerFormat = 1;
 constexpr int kBundleFormat = 1;
 
-std::string crc_hex(std::uint32_t crc) {
-  char buffer[9];
-  std::snprintf(buffer, sizeof(buffer), "%08x", crc);
-  return std::string(buffer);
-}
-
-// Catalog names and generated "gen-v1-..." names both resolve; the latter
-// encode their full spec, so a re-exec'd worker rebuilds the same app.
-std::optional<apps::AppInfo> find_app(const std::string& name) {
-  return apps::resolve_app(name);
-}
-
-std::optional<CrawlerKind> find_crawler(const std::string& name) {
-  return crawler_kind_from_name(name);
-}
-
 // The per-repetition RunConfig a worker executes: the serial path's derived
 // seed (so completed repetitions are bit-identical to run_repeated), the
 // worker's private checkpoint directory, and no parent-process-only hooks.
@@ -76,23 +60,17 @@ std::string rep_scratch_dir(const OrchestratorConfig& orch,
 
 // ----------------------------------------------------- worker result file
 //
-// {"magic":"mak-worker","format":1,"digest":"<worker run digest>","rep":N,
-//  "crc32":"<8-hex>","payload":"<result_to_state dump>"}
-//
-// Same shape as a checkpoint envelope: the CRC covers the payload's exact
-// bytes and the digest binds the file to one (config, repetition) pair.
+// A CRC envelope (support::snapshot::seal) like a checkpoint's, bound by
+// "digest" (the worker's run digest) and "rep" to one (config, repetition)
+// pair; the payload is the result_to_state dump.
 
 std::string encode_worker_result(const RunResult& result,
                                  const std::string& digest, std::size_t rep) {
-  const std::string payload = support::json::dump(result_to_state(result));
-  support::json::Object outer;
-  outer.emplace("magic", std::string(kWorkerMagic));
-  outer.emplace("format", static_cast<double>(kWorkerFormat));
-  outer.emplace("digest", digest);
-  outer.emplace("rep", static_cast<double>(rep));
-  outer.emplace("crc32", crc_hex(snapshot::crc32(payload)));
-  outer.emplace("payload", payload);
-  return support::json::dump(Value(std::move(outer))) + "\n";
+  support::json::Object binding;
+  binding.emplace("digest", digest);
+  binding.emplace("rep", static_cast<double>(rep));
+  return snapshot::seal(kWorkerMagic, kWorkerFormat, std::move(binding),
+                        support::json::dump(result_to_state(result)));
 }
 
 // Parse + validate; nullopt on any problem (the caller treats that as a
@@ -103,150 +81,19 @@ std::optional<RunResult> decode_worker_result(const std::string& path,
   const auto contents = sfs::default_fs().read_file(path);
   if (!contents.has_value()) return std::nullopt;
   try {
-    const auto outer = support::json::parse(*contents);
-    if (!outer.has_value() || !outer->is_object()) return std::nullopt;
-    if (snapshot::require_string(*outer, "magic") != kWorkerMagic ||
-        snapshot::require_int(*outer, "format") != kWorkerFormat ||
-        snapshot::require_string(*outer, "digest") != digest ||
-        snapshot::require_index(*outer, "rep") != rep) {
+    const Value outer =
+        snapshot::unseal(*contents, kWorkerMagic, kWorkerFormat, path);
+    if (snapshot::require_string(outer, "digest") != digest ||
+        snapshot::require_index(outer, "rep") != rep) {
       return std::nullopt;
     }
-    const std::string& payload = snapshot::require_string(*outer, "payload");
-    if (snapshot::require_string(*outer, "crc32") !=
-        crc_hex(snapshot::crc32(payload))) {
-      return std::nullopt;
-    }
-    const auto state = support::json::parse(payload);
+    const auto state =
+        support::json::parse(snapshot::require_string(outer, "payload"));
     if (!state.has_value()) return std::nullopt;
     return result_from_state(*state);
   } catch (const SnapshotError&) {
     return std::nullopt;
   }
-}
-
-// ------------------------------------------------------- worker argv side
-
-struct WorkerArgs {
-  std::string app;
-  std::string crawler;
-  std::uint64_t seed = 0;
-  long budget_ms = 0;
-  long sample_ms = 0;
-  long think_ms = 0;
-  int fill = 0;
-  std::string fault_spec;
-  std::string drift_spec;
-  std::string checkpoint_dir;
-  long ckpt_interval_ms = 0;
-  unsigned long long ckpt_every_steps = 0;
-  unsigned long long ckpt_keep = 3;
-  long heartbeat_ms = 0;
-  long wall_limit_ms = 0;
-  unsigned long long max_steps = 0;
-  std::size_t rep = 0;
-  std::string out_path;
-  unsigned long long kill_at_step = 0;
-};
-
-bool parse_worker_args(int argc, char** argv, WorkerArgs& args) {
-  // argv[1] is "--worker"; everything after is key/value pairs.
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string key = argv[i];
-    const char* value = argv[i + 1];
-    if (key == "--app") {
-      args.app = value;
-    } else if (key == "--crawler") {
-      args.crawler = value;
-    } else if (key == "--seed") {
-      try {
-        args.seed = snapshot::hex_to_u64(value);
-      } catch (const SnapshotError&) {
-        return false;
-      }
-    } else if (key == "--budget-ms") {
-      args.budget_ms = std::strtol(value, nullptr, 10);
-    } else if (key == "--sample-ms") {
-      args.sample_ms = std::strtol(value, nullptr, 10);
-    } else if (key == "--think-ms") {
-      args.think_ms = std::strtol(value, nullptr, 10);
-    } else if (key == "--fill") {
-      args.fill = static_cast<int>(std::strtol(value, nullptr, 10));
-    } else if (key == "--fault") {
-      args.fault_spec = value;
-    } else if (key == "--drift") {
-      args.drift_spec = value;
-    } else if (key == "--ckpt-dir") {
-      args.checkpoint_dir = value;
-    } else if (key == "--ckpt-interval-ms") {
-      args.ckpt_interval_ms = std::strtol(value, nullptr, 10);
-    } else if (key == "--ckpt-every-steps") {
-      args.ckpt_every_steps = std::strtoull(value, nullptr, 10);
-    } else if (key == "--ckpt-keep") {
-      args.ckpt_keep = std::strtoull(value, nullptr, 10);
-    } else if (key == "--heartbeat-ms") {
-      args.heartbeat_ms = std::strtol(value, nullptr, 10);
-    } else if (key == "--wall-limit-ms") {
-      args.wall_limit_ms = std::strtol(value, nullptr, 10);
-    } else if (key == "--max-steps") {
-      args.max_steps = std::strtoull(value, nullptr, 10);
-    } else if (key == "--rep") {
-      args.rep = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-    } else if (key == "--out") {
-      args.out_path = value;
-    } else if (key == "--kill-at-step") {
-      args.kill_at_step = std::strtoull(value, nullptr, 10);
-    } else {
-      std::fprintf(stderr, "worker: unknown argument %s\n", key.c_str());
-      return false;
-    }
-  }
-  return !args.app.empty() && !args.crawler.empty() &&
-         !args.checkpoint_dir.empty() && !args.out_path.empty() &&
-         args.budget_ms > 0;
-}
-
-RunConfig config_from_worker_args(const WorkerArgs& args, bool& ok) {
-  RunConfig config;
-  ok = true;
-  config.seed = args.seed;
-  config.budget = static_cast<support::VirtualMillis>(args.budget_ms);
-  if (args.sample_ms > 0) {
-    config.sample_interval =
-        static_cast<support::VirtualMillis>(args.sample_ms);
-  }
-  if (args.think_ms > 0) {
-    config.think_time = static_cast<support::VirtualMillis>(args.think_ms);
-  }
-  config.fill_strategy = static_cast<core::FormFillStrategy>(args.fill);
-  if (!args.fault_spec.empty()) {
-    const auto fault = httpsim::FaultProfile::parse(args.fault_spec);
-    if (!fault.has_value()) {
-      ok = false;
-      return config;
-    }
-    config.fault = *fault;
-  }
-  if (!args.drift_spec.empty()) {
-    const auto drift = webapp::DriftProfile::parse(args.drift_spec);
-    if (!drift.has_value()) {
-      ok = false;
-      return config;
-    }
-    config.drift = *drift;
-  }
-  config.checkpoint.dir = args.checkpoint_dir;
-  if (args.ckpt_interval_ms > 0) {
-    config.checkpoint.interval =
-        static_cast<support::VirtualMillis>(args.ckpt_interval_ms);
-  }
-  config.checkpoint.every_steps =
-      static_cast<std::size_t>(args.ckpt_every_steps);
-  config.checkpoint.keep = static_cast<std::size_t>(args.ckpt_keep);
-  config.checkpoint.resume = true;
-  config.supervisor.heartbeat_ms = args.heartbeat_ms;
-  config.supervisor.wall_limit_ms = args.wall_limit_ms;
-  config.supervisor.max_steps = static_cast<std::size_t>(args.max_steps);
-  return config;
 }
 
 // ------------------------------------------------------- failure bundles
@@ -383,6 +230,104 @@ void archive_failure_bundle(const OrchestratorConfig& orch,
 
 }  // namespace
 
+// ------------------------------------------------------ worker argv codec
+
+std::vector<std::string> worker_argv(std::string_view mode,
+                                     const WorkerRun& run) {
+  std::vector<std::string> args{std::string(mode)};
+  const auto add = [&args](const char* key, std::string value) {
+    args.emplace_back(key);
+    args.push_back(std::move(value));
+  };
+  const RunConfig& config = run.config;
+  add("--app", run.app);
+  add("--crawler", run.crawler);
+  add("--seed", snapshot::u64_to_hex(config.seed));
+  add("--budget-ms", std::to_string(config.budget));
+  add("--sample-ms", std::to_string(config.sample_interval));
+  add("--think-ms", std::to_string(config.think_time));
+  add("--fill", std::to_string(static_cast<int>(config.fill_strategy)));
+  const std::string fault = config.fault.describe();
+  if (!fault.empty()) add("--fault", fault);
+  // describe() canonically returns "off" for a disabled profile; only an
+  // active one needs to travel to the worker.
+  if (config.drift.enabled()) add("--drift", config.drift.describe());
+  add("--out", run.out_path);
+  if (run.kill_at_step > 0) {
+    add("--kill-at-step", std::to_string(run.kill_at_step));
+  }
+  return args;
+}
+
+bool parse_worker_argv(
+    int argc, char** argv, WorkerRun& run,
+    const std::function<bool(const std::string& key, const char* value)>&
+        extra,
+    std::string& error) {
+  RunConfig& config = run.config;
+  config.budget = 0;  // required: the child never falls back to a default
+  for (int i = 2; i + 1 < argc; i += 2) {
+    const std::string key = argv[i];
+    const char* value = argv[i + 1];
+    const long number = std::strtol(value, nullptr, 10);
+    if (key == "--app") {
+      run.app = value;
+    } else if (key == "--crawler") {
+      run.crawler = value;
+    } else if (key == "--seed") {
+      try {
+        config.seed = snapshot::hex_to_u64(value);
+      } catch (const SnapshotError&) {
+        error = "bad --seed";
+        return false;
+      }
+    } else if (key == "--budget-ms") {
+      config.budget = number;
+    } else if (key == "--sample-ms") {
+      if (number > 0) config.sample_interval = number;
+    } else if (key == "--think-ms") {
+      if (number > 0) config.think_time = number;
+    } else if (key == "--fill") {
+      config.fill_strategy = static_cast<core::FormFillStrategy>(number);
+    } else if (key == "--fault") {
+      const auto fault = httpsim::FaultProfile::parse(value);
+      if (!fault.has_value()) {
+        error = "unparsable fault spec";
+        return false;
+      }
+      config.fault = *fault;
+    } else if (key == "--drift") {
+      const auto drift = webapp::DriftProfile::parse(value);
+      if (!drift.has_value()) {
+        error = "unparsable drift spec";
+        return false;
+      }
+      config.drift = *drift;
+    } else if (key == "--out") {
+      run.out_path = value;
+    } else if (key == "--kill-at-step") {
+      run.kill_at_step =
+          static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+    } else if (!extra(key, value)) {
+      error = "unknown argument " + key;
+      return false;
+    }
+  }
+  if (run.app.empty() || run.crawler.empty() || run.out_path.empty() ||
+      config.budget <= 0) {
+    error = "bad invocation";
+    return false;
+  }
+  if (run.kill_at_step > 0) {
+    // Chaos hook: die the way an external `kill -9` (or the OOM killer)
+    // would — no cleanup, no final checkpoint, no envelope.
+    config.step_hook = [kill_at = run.kill_at_step](std::size_t step) {
+      if (step == kill_at) ::kill(::getpid(), SIGKILL);
+    };
+  }
+  return true;
+}
+
 // ------------------------------------------------------------ worker mode
 
 bool is_worker_invocation(int argc, char** argv) {
@@ -392,39 +337,55 @@ bool is_worker_invocation(int argc, char** argv) {
 namespace {
 
 int worker_run(int argc, char** argv) {
-  WorkerArgs args;
-  if (!parse_worker_args(argc, argv, args)) {
-    std::fprintf(stderr, "worker: bad invocation\n");
+  WorkerRun run;
+  RunConfig& config = run.config;
+  std::size_t rep = 0;
+  const auto extra = [&](const std::string& key, const char* value) {
+    const long number = std::strtol(value, nullptr, 10);
+    const auto count =
+        static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+    if (key == "--rep") {
+      rep = count;
+    } else if (key == "--ckpt-dir") {
+      config.checkpoint.dir = value;
+    } else if (key == "--ckpt-interval-ms") {
+      if (number > 0) config.checkpoint.interval = number;
+    } else if (key == "--ckpt-every-steps") {
+      config.checkpoint.every_steps = count;
+    } else if (key == "--ckpt-keep") {
+      config.checkpoint.keep = count;
+    } else if (key == "--heartbeat-ms") {
+      config.supervisor.heartbeat_ms = number;
+    } else if (key == "--wall-limit-ms") {
+      config.supervisor.wall_limit_ms = number;
+    } else if (key == "--max-steps") {
+      config.supervisor.max_steps = count;
+    } else {
+      return false;
+    }
+    return true;
+  };
+  std::string error;
+  if (!parse_worker_argv(argc, argv, run, extra, error) ||
+      !config.checkpoint.enabled()) {
+    std::fprintf(stderr, "worker: %s\n",
+                 error.empty() ? "bad invocation" : error.c_str());
     return kExitTransient;
   }
-  const auto info = find_app(args.app);
-  const auto kind = find_crawler(args.crawler);
+  const auto info = apps::resolve_app(run.app);
+  const auto kind = crawler_kind_from_name(run.crawler);
   if (!info.has_value() || !kind.has_value()) {
     std::fprintf(stderr, "worker: unknown app or crawler\n");
     return kExitTransient;
-  }
-  bool ok = true;
-  RunConfig config = config_from_worker_args(args, ok);
-  if (!ok) {
-    std::fprintf(stderr, "worker: unparsable fault or drift spec\n");
-    return kExitTransient;
-  }
-  if (args.kill_at_step > 0) {
-    // Chaos hook: die the way an external `kill -9` (or the OOM killer)
-    // would — no cleanup, no final checkpoint.
-    const std::size_t kill_at = static_cast<std::size_t>(args.kill_at_step);
-    config.step_hook = [kill_at](std::size_t step) {
-      if (step == kill_at) ::kill(::getpid(), SIGKILL);
-    };
   }
 
   const RunResult result = run_resumable(*info, *kind, config);
   const std::string digest = run_digest(*info, *kind, config, 1);
   if (!sfs::write_file_atomic_verified(
-          sfs::default_fs(), args.out_path,
-          encode_worker_result(result, digest, args.rep))) {
+          sfs::default_fs(), run.out_path,
+          encode_worker_result(result, digest, rep))) {
     std::fprintf(stderr, "worker: cannot write result file %s\n",
-                 args.out_path.c_str());
+                 run.out_path.c_str());
     return kExitTransient;
   }
   return kExitOk;
@@ -512,52 +473,39 @@ struct RepState {
   std::optional<RunResult> result;
 };
 
-std::vector<std::string> worker_argv(const apps::AppInfo& app_info,
-                                     CrawlerKind kind,
-                                     const RunConfig& worker_config,
-                                     std::size_t rep,
-                                     const std::string& out_path,
-                                     std::size_t kill_at_step) {
-  std::vector<std::string> args;
-  args.emplace_back("--worker");
+std::vector<std::string> repetition_argv(const apps::AppInfo& app_info,
+                                         CrawlerKind kind,
+                                         const RunConfig& worker_config,
+                                         std::size_t rep,
+                                         const std::string& out_path,
+                                         std::size_t kill_at_step) {
+  WorkerRun run;
+  run.app = app_info.name;
+  run.crawler = std::string(to_string(kind));
+  run.config = worker_config;
+  run.out_path = out_path;
+  run.kill_at_step = kill_at_step;
+  std::vector<std::string> args = worker_argv("--worker", run);
   const auto add = [&args](const char* key, std::string value) {
     args.emplace_back(key);
     args.push_back(std::move(value));
   };
-  add("--app", app_info.name);
-  add("--crawler", std::string(to_string(kind)));
   add("--rep", std::to_string(rep));
-  add("--seed", snapshot::u64_to_hex(worker_config.seed));
-  add("--budget-ms", std::to_string(worker_config.budget));
-  add("--sample-ms", std::to_string(worker_config.sample_interval));
-  add("--think-ms", std::to_string(worker_config.think_time));
-  add("--fill",
-      std::to_string(static_cast<int>(worker_config.fill_strategy)));
-  const std::string fault = worker_config.fault.describe();
-  if (!fault.empty()) add("--fault", fault);
-  // describe() canonically returns "off" for a disabled profile; only an
-  // active one needs to travel to the worker.
-  if (worker_config.drift.enabled()) {
-    add("--drift", worker_config.drift.describe());
-  }
   add("--ckpt-dir", worker_config.checkpoint.dir);
   add("--ckpt-interval-ms", std::to_string(worker_config.checkpoint.interval));
   add("--ckpt-every-steps",
       std::to_string(worker_config.checkpoint.every_steps));
   add("--ckpt-keep", std::to_string(worker_config.checkpoint.keep));
-  if (worker_config.supervisor.heartbeat_ms > 0) {
-    add("--heartbeat-ms",
-        std::to_string(worker_config.supervisor.heartbeat_ms));
+  const SupervisorConfig& supervisor = worker_config.supervisor;
+  if (supervisor.heartbeat_ms > 0) {
+    add("--heartbeat-ms", std::to_string(supervisor.heartbeat_ms));
   }
-  if (worker_config.supervisor.wall_limit_ms > 0) {
-    add("--wall-limit-ms",
-        std::to_string(worker_config.supervisor.wall_limit_ms));
+  if (supervisor.wall_limit_ms > 0) {
+    add("--wall-limit-ms", std::to_string(supervisor.wall_limit_ms));
   }
-  if (worker_config.supervisor.max_steps > 0) {
-    add("--max-steps", std::to_string(worker_config.supervisor.max_steps));
+  if (supervisor.max_steps > 0) {
+    add("--max-steps", std::to_string(supervisor.max_steps));
   }
-  add("--out", out_path);
-  if (kill_at_step > 0) add("--kill-at-step", std::to_string(kill_at_step));
   return args;
 }
 
@@ -632,8 +580,8 @@ std::vector<RunResult> run_orchestrated(const apps::AppInfo& app_info,
             ? orch.chaos_kill->second
             : 0;
     WorkerSpec spec;
-    spec.args = worker_argv(app_info, kind, configs[rep], rep, out_paths[rep],
-                            kill_at_step);
+    spec.args = repetition_argv(app_info, kind, configs[rep], rep,
+                                out_paths[rep], kill_at_step);
     spec.stderr_path = rep_scratch_dir(orch, digest, rep) + "/stderr-a" +
                        std::to_string(state.attempts) + ".log";
     const int slot = pool.spawn(spec, orch.limits);
@@ -757,8 +705,8 @@ int replay_bundle(const std::string& bundle_dir) {
     const std::string& app_name = snapshot::require_string(*manifest, "app");
     const std::string& crawler_name =
         snapshot::require_string(*manifest, "crawler");
-    const auto info = find_app(app_name);
-    const auto kind = find_crawler(crawler_name);
+    const auto info = apps::resolve_app(app_name);
+    const auto kind = crawler_kind_from_name(crawler_name);
     if (!info.has_value() || !kind.has_value()) {
       std::fprintf(stderr, "replay: unknown app or crawler in manifest\n");
       return 1;

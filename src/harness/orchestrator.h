@@ -18,8 +18,10 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,6 +48,39 @@ struct OrchestratorConfig {
   // itself after `second` crawl steps; retries run undisturbed.
   std::optional<std::pair<std::size_t, std::size_t>> chaos_kill;
 };
+
+// ------------------------------------------------------ worker argv codec
+//
+// Both worker children — --worker below and --serve-worker (src/serve) —
+// receive their run as argv key/value pairs. The fields every run shares
+// travel through this one codec; each mode adds and parses only its own.
+struct WorkerRun {
+  // apps::resolve_app name: a catalog app or a generated "gen-v1-..." one,
+  // whose name encodes its full spec, so the child rebuilds the same app.
+  std::string app;
+  std::string crawler;  // crawler_kind_from_name name
+  // Seed, budget, sample interval, think time, fill strategy, fault and
+  // drift profiles; the mode's own fields fill the rest.
+  RunConfig config;
+  std::string out_path;          // where the child writes its envelope
+  std::size_t kill_at_step = 0;  // chaos: SIGKILL itself after this step
+};
+
+// Child argv for ProcPool (argv[0] is added by the pool): `mode`, then the
+// shared pairs. The caller appends its mode's own pairs.
+std::vector<std::string> worker_argv(std::string_view mode,
+                                     const WorkerRun& run);
+
+// Parses argv[2..] (argv[1] is the mode flag) into `run`, handing keys
+// outside the shared set to `extra`, which returns false to reject one.
+// Installs the kill_at_step chaos hook as run.config.step_hook. Returns
+// false, with `error` set, on an unknown key, an unparsable value or a
+// missing app, crawler, out path or positive budget.
+bool parse_worker_argv(
+    int argc, char** argv, WorkerRun& run,
+    const std::function<bool(const std::string& key, const char* value)>&
+        extra,
+    std::string& error);
 
 // Environment-driven config: MAK_WORKERS, MAK_ORCH_ATTEMPTS, MAK_ORCH_DIR,
 // MAK_FAILURE_DIR, MAK_ORCH_TIMEOUT_SEC (wall, per attempt),

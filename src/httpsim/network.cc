@@ -31,33 +31,10 @@ Response dropped_response() {
   return r;
 }
 
-// Exact serialization of everything a host may condition its response on.
-// '\n' cannot occur inside the percent-encoded components, so the key is
-// unambiguous.
-std::string request_cache_key(const Request& request) {
-  std::string key(to_string(request.method));
-  key += '\n';
-  key += request.url.without_fragment();
-  key += '\n';
-  key += request.form.to_string();
-  for (const auto& [name, value] : request.cookies) {
-    key += '\n';
-    key += name;
-    key += '=';
-    key += value;
-  }
-  return key;
-}
-
 }  // namespace
 
 void Network::register_host(std::string host, VirtualHost& handler) {
   hosts_[std::move(host)] = &handler;
-}
-
-void Network::set_response_cache_enabled(bool enabled) {
-  response_cache_enabled_ = enabled;
-  if (!enabled) response_cache_.clear();
 }
 
 bool Network::knows_host(std::string_view host) const noexcept {
@@ -65,18 +42,6 @@ bool Network::knows_host(std::string_view host) const noexcept {
 }
 
 Response Network::dispatch(const Request& request) {
-  std::string cache_key;
-  if (response_cache_enabled_) {
-    cache_key = request_cache_key(request);
-    const auto cached = response_cache_.find(cache_key);
-    if (cached != response_cache_.end()) {
-      static support::Counter& cache_hits =
-          support::MetricsRegistry::global().counter(
-              support::metric::kHttpsimResponseCacheHits);
-      cache_hits.add();
-      return cached->second;
-    }
-  }
   static support::Counter& requests = support::MetricsRegistry::global()
                                           .counter(
                                               support::metric::kHttpsimRequests);
@@ -90,9 +55,6 @@ Response Network::dispatch(const Request& request) {
                     "<body><h1>Unknown host</h1></body></html>";
   } else {
     response = it->second->handle(request);
-  }
-  if (response_cache_enabled_) {
-    response_cache_.emplace(std::move(cache_key), response);
   }
   return response;
 }

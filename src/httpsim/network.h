@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "httpsim/cookies.h"
 #include "httpsim/fault.h"
@@ -74,20 +73,6 @@ class Network {
   // swallowed by the fault injector are not dispatched).
   std::size_t request_count() const noexcept { return request_count_; }
 
-  // Response cache seam, OFF by default and only sound for stateless hosts:
-  // the synthetic applications mutate state on POST and many render
-  // request-dependent content, so replaying a cached response changes what
-  // the crawler observes (and freezes request_count). Static-corpus
-  // experiments can opt in to skip the host handler for repeated identical
-  // requests. Disabling clears the cache.
-  void set_response_cache_enabled(bool enabled);
-  bool response_cache_enabled() const noexcept {
-    return response_cache_enabled_;
-  }
-  std::size_t response_cache_size() const noexcept {
-    return response_cache_.size();
-  }
-
  private:
   // fetch() body; the public wrapper charges the metrics registry
   // (fetch/redirect/error counters, virtual-latency histogram).
@@ -101,10 +86,6 @@ class Network {
   std::map<std::string, VirtualHost*, std::less<>> hosts_;
   FaultInjector* injector_ = nullptr;
   std::size_t request_count_ = 0;
-  bool response_cache_enabled_ = false;
-  // Full serialized request -> response; exact-string keys, so a cache hit
-  // can never be a hash collision.
-  std::unordered_map<std::string, Response> response_cache_;
 };
 
 }  // namespace mak::httpsim

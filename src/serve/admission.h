@@ -48,7 +48,7 @@ struct TenantQuota {
 // Server-wide tuning. Defaults are production-shaped; server_from_env()
 // overrides from MAK_SERVE_* with fail-fast validation (support/env.h).
 struct ServerConfig {
-  std::size_t max_resident = 256;       // live CrawlSession objects at once
+  std::size_t max_resident = 256;       // live CrawlRun objects at once
   std::size_t max_queue = 4096;         // admission queue capacity
   std::size_t batch_steps = 64;         // crawl steps per scheduling quantum
   long heartbeat_ms = 0;                // server stall watchdog (0 = off)

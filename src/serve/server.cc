@@ -197,11 +197,10 @@ OpenOutcome SessionServer::open(const OpenRequest& request) {
   return outcome;
 }
 
-std::unique_ptr<CrawlSession> SessionServer::materialize(
+std::unique_ptr<harness::CrawlRun> SessionServer::materialize(
     const Session& session) const {
-  auto live =
-      std::make_unique<CrawlSession>(session.info, session.kind,
-                                     session.config);
+  auto live = std::make_unique<harness::CrawlRun>(session.info, session.kind,
+                                                  session.config);
   if (!session.saved.empty()) {
     const auto state = support::json::parse(session.saved);
     if (!state.has_value()) {
@@ -347,6 +346,9 @@ void SessionServer::finalize(Session& session, harness::RunResult result) {
 void SessionServer::charge(Session& session, std::size_t ran,
                            support::VirtualMillis virtual_delta,
                            long long wall_ms) {
+  static support::Counter& steps_counter =
+      MetricsRegistry::global().counter(metric::kServeSteps);
+  steps_counter.add(ran);
   Tenant& entry = tenants_.at(session.tenant);
   entry.stats.steps += ran;
   entry.stats.virtual_ms += virtual_delta;
@@ -380,14 +382,14 @@ std::size_t SessionServer::run_process_batch(Session& session,
       scratch_dir_ + "/sess-" + std::to_string(session.id);
 
   WorkerBatch batch;
-  batch.app = session.app_name;
-  batch.crawler = session.crawler_name;
-  batch.config = session.config;
+  batch.run.app = session.app_name;
+  batch.run.crawler = session.crawler_name;
+  batch.run.config = session.config;
+  batch.run.out_path = base + "-out.json";
+  batch.run.kill_at_step = session.kill_at_step;
   batch.session_id = session.id;
   batch.base_step = session.steps;
   batch.steps = max_steps;
-  batch.out_path = base + "-out.json";
-  batch.kill_at_step = session.kill_at_step;
   batch.hang_at_step = session.hang_at_step;
   if (!session.saved.empty()) {
     batch.state_path = base + "-in.json";
@@ -432,7 +434,7 @@ std::size_t SessionServer::run_process_batch(Session& session,
     }
     if (failure == harness::FailureClass::kNone) {
       const auto outcome =
-          decode_serve_outcome(batch.out_path, session.id, batch.base_step);
+          decode_serve_outcome(batch.run.out_path, session.id, batch.base_step);
       if (outcome.has_value()) {
         const auto wall_ms =
             std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -477,7 +479,7 @@ std::size_t SessionServer::run_process_batch(Session& session,
     // The chaos hooks are one-shot: the kill/hang modeled an external
     // event, so the retry runs the same batch clean — and, because the
     // session is deterministic, reproduces it byte-for-byte.
-    batch.kill_at_step = 0;
+    batch.run.kill_at_step = 0;
     batch.hang_at_step = 0;
     session.kill_at_step = 0;
     session.hang_at_step = 0;

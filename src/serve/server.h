@@ -1,6 +1,6 @@
 // Multi-tenant session server: thousands of crawls over one scheduler.
 //
-// The server multiplexes logical crawl sessions (CrawlSession) over a
+// The server multiplexes logical crawl sessions (harness::CrawlRun) over a
 // bounded pool of resident slots, stepping each in round-robin batches of
 // virtual time so every tenant makes proportional progress. Robustness is
 // layered (docs/robustness.md):
@@ -32,10 +32,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "harness/crawl_run.h"
 #include "harness/procpool.h"
 #include "harness/supervisor.h"
 #include "serve/admission.h"
-#include "serve/session.h"
 #include "serve/worker.h"
 
 namespace mak::serve {
@@ -178,7 +178,7 @@ class SessionServer {
     harness::RunConfig config;
     IsolationTier tier = IsolationTier::kThread;
     SessionState state = SessionState::kQueued;
-    std::unique_ptr<CrawlSession> live;  // thread tier, while resident
+    std::unique_ptr<harness::CrawlRun> live;  // thread tier, while resident
     std::string saved;          // serialized state (suspended / process tier)
     bool frozen_in_place = false;  // suspended but keeping the live object
     bool snapshot_capable = false;
@@ -219,7 +219,7 @@ class SessionServer {
   void charge(Session& session, std::size_t ran,
               support::VirtualMillis virtual_delta, long long wall_ms);
   void update_gauges();
-  std::unique_ptr<CrawlSession> materialize(const Session& session) const;
+  std::unique_ptr<harness::CrawlRun> materialize(const Session& session) const;
 
   ServerConfig config_;
   std::string scratch_dir_;

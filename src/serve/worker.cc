@@ -1,6 +1,5 @@
 #include "serve/worker.h"
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,8 +9,8 @@
 #include <stdexcept>
 
 #include "harness/checkpoint.h"
+#include "harness/crawl_run.h"
 #include "harness/procpool.h"
-#include "serve/session.h"
 #include "support/fs.h"
 #include "support/snapshot.h"
 
@@ -26,42 +25,19 @@ namespace {
 constexpr std::string_view kServeWorkerMagic = "mak-serve-worker";
 constexpr int kServeWorkerFormat = 1;
 
-std::string crc_hex(std::uint32_t crc) {
-  char buffer[9];
-  std::snprintf(buffer, sizeof(buffer), "%08x", crc);
-  return buffer;
-}
-
 }  // namespace
 
 std::vector<std::string> serve_worker_argv(const WorkerBatch& batch) {
-  std::vector<std::string> args;
-  args.emplace_back("--serve-worker");
+  std::vector<std::string> args =
+      harness::worker_argv("--serve-worker", batch.run);
   const auto add = [&args](const char* key, std::string value) {
     args.emplace_back(key);
     args.push_back(std::move(value));
   };
-  add("--app", batch.app);
-  add("--crawler", batch.crawler);
   add("--session", snapshot::u64_to_hex(batch.session_id));
   add("--base-step", std::to_string(batch.base_step));
-  add("--seed", snapshot::u64_to_hex(batch.config.seed));
-  add("--budget-ms", std::to_string(batch.config.budget));
-  add("--sample-ms", std::to_string(batch.config.sample_interval));
-  add("--think-ms", std::to_string(batch.config.think_time));
-  add("--fill",
-      std::to_string(static_cast<int>(batch.config.fill_strategy)));
-  const std::string fault = batch.config.fault.describe();
-  if (!fault.empty()) add("--fault", fault);
-  if (batch.config.drift.enabled()) {
-    add("--drift", batch.config.drift.describe());
-  }
   if (!batch.state_path.empty()) add("--state-in", batch.state_path);
   add("--steps", std::to_string(batch.steps));
-  add("--out", batch.out_path);
-  if (batch.kill_at_step > 0) {
-    add("--kill-at-step", std::to_string(batch.kill_at_step));
-  }
   if (batch.hang_at_step > 0) {
     add("--hang-at-step", std::to_string(batch.hang_at_step));
   }
@@ -79,16 +55,13 @@ std::string encode_serve_outcome(const WorkerOutcome& outcome,
   } else {
     inner.emplace("state", *outcome.state);
   }
-  const std::string payload = support::json::dump(Value(std::move(inner)));
-  support::json::Object outer;
-  outer.emplace("magic", std::string(kServeWorkerMagic));
-  outer.emplace("format", static_cast<double>(kServeWorkerFormat));
-  outer.emplace("session", snapshot::u64_to_hex(session_id));
-  outer.emplace("base_step", static_cast<double>(base_step));
-  outer.emplace("kind", std::string(outcome.finished ? "result" : "state"));
-  outer.emplace("crc32", crc_hex(snapshot::crc32(payload)));
-  outer.emplace("payload", payload);
-  return support::json::dump(Value(std::move(outer))) + "\n";
+  support::json::Object binding;
+  binding.emplace("session", snapshot::u64_to_hex(session_id));
+  binding.emplace("base_step", static_cast<double>(base_step));
+  binding.emplace("kind", std::string(outcome.finished ? "result" : "state"));
+  return snapshot::seal(kServeWorkerMagic, kServeWorkerFormat,
+                        std::move(binding),
+                        support::json::dump(Value(std::move(inner))));
 }
 
 std::optional<WorkerOutcome> decode_serve_outcome(const std::string& path,
@@ -97,26 +70,20 @@ std::optional<WorkerOutcome> decode_serve_outcome(const std::string& path,
   const auto contents = sfs::default_fs().read_file(path);
   if (!contents.has_value()) return std::nullopt;
   try {
-    const auto outer = support::json::parse(*contents);
-    if (!outer.has_value() || !outer->is_object()) return std::nullopt;
-    if (snapshot::require_string(*outer, "magic") != kServeWorkerMagic ||
-        snapshot::require_int(*outer, "format") != kServeWorkerFormat ||
-        snapshot::require_string(*outer, "session") !=
+    const Value outer = snapshot::unseal(*contents, kServeWorkerMagic,
+                                         kServeWorkerFormat, path);
+    if (snapshot::require_string(outer, "session") !=
             snapshot::u64_to_hex(session_id) ||
-        snapshot::require_index(*outer, "base_step") != base_step) {
+        snapshot::require_index(outer, "base_step") != base_step) {
       return std::nullopt;
     }
-    const std::string& payload = snapshot::require_string(*outer, "payload");
-    if (snapshot::require_string(*outer, "crc32") !=
-        crc_hex(snapshot::crc32(payload))) {
-      return std::nullopt;
-    }
-    const auto inner = support::json::parse(payload);
+    const auto inner =
+        support::json::parse(snapshot::require_string(outer, "payload"));
     if (!inner.has_value() || !inner->is_object()) return std::nullopt;
     WorkerOutcome outcome;
     outcome.steps_run = static_cast<std::size_t>(
         snapshot::require_index(*inner, "steps_run"));
-    const std::string& kind = snapshot::require_string(*outer, "kind");
+    const std::string& kind = snapshot::require_string(outer, "kind");
     if (kind == "result") {
       outcome.finished = true;
       outcome.result =
@@ -141,157 +108,73 @@ bool is_serve_worker_invocation(int argc, char** argv) {
 
 namespace {
 
-struct ServeWorkerArgs {
-  std::string app;
-  std::string crawler;
-  std::uint64_t session_id = 0;
-  std::size_t base_step = 0;
-  std::uint64_t seed = 0;
-  long budget_ms = 0;
-  long sample_ms = 0;
-  long think_ms = 0;
-  int fill = 0;
-  std::string fault_spec;
-  std::string drift_spec;
-  std::string state_in;
-  std::size_t steps = 0;
-  std::string out_path;
-  std::size_t kill_at_step = 0;
-  std::size_t hang_at_step = 0;
-};
-
-bool parse_serve_worker_args(int argc, char** argv, ServeWorkerArgs& args) {
-  // argv[1] is "--serve-worker"; everything after is key/value pairs.
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string key = argv[i];
-    const char* value = argv[i + 1];
-    if (key == "--app") {
-      args.app = value;
-    } else if (key == "--crawler") {
-      args.crawler = value;
-    } else if (key == "--session") {
+int serve_worker_run(int argc, char** argv) {
+  WorkerBatch batch;
+  harness::WorkerRun& run = batch.run;
+  const auto extra = [&batch](const std::string& key, const char* value) {
+    const auto count =
+        static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+    if (key == "--session") {
       try {
-        args.session_id = snapshot::hex_to_u64(value);
+        batch.session_id = snapshot::hex_to_u64(value);
       } catch (const support::SnapshotError&) {
         return false;
       }
     } else if (key == "--base-step") {
-      args.base_step =
-          static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-    } else if (key == "--seed") {
-      try {
-        args.seed = snapshot::hex_to_u64(value);
-      } catch (const support::SnapshotError&) {
-        return false;
-      }
-    } else if (key == "--budget-ms") {
-      args.budget_ms = std::strtol(value, nullptr, 10);
-    } else if (key == "--sample-ms") {
-      args.sample_ms = std::strtol(value, nullptr, 10);
-    } else if (key == "--think-ms") {
-      args.think_ms = std::strtol(value, nullptr, 10);
-    } else if (key == "--fill") {
-      args.fill = static_cast<int>(std::strtol(value, nullptr, 10));
-    } else if (key == "--fault") {
-      args.fault_spec = value;
-    } else if (key == "--drift") {
-      args.drift_spec = value;
+      batch.base_step = count;
     } else if (key == "--state-in") {
-      args.state_in = value;
+      batch.state_path = value;
     } else if (key == "--steps") {
-      args.steps = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-    } else if (key == "--out") {
-      args.out_path = value;
-    } else if (key == "--kill-at-step") {
-      args.kill_at_step =
-          static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+      batch.steps = count;
     } else if (key == "--hang-at-step") {
-      args.hang_at_step =
-          static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+      batch.hang_at_step = count;
     } else {
-      std::fprintf(stderr, "serve-worker: unknown argument %s\n", key.c_str());
       return false;
     }
-  }
-  return !args.app.empty() && !args.crawler.empty() &&
-         !args.out_path.empty() && args.budget_ms > 0 && args.steps > 0;
-}
-
-int serve_worker_run(int argc, char** argv) {
-  ServeWorkerArgs args;
-  if (!parse_serve_worker_args(argc, argv, args)) {
-    std::fprintf(stderr, "serve-worker: bad invocation\n");
+    return true;
+  };
+  std::string error;
+  if (!harness::parse_worker_argv(argc, argv, run, extra, error) ||
+      batch.steps == 0) {
+    std::fprintf(stderr, "serve-worker: %s\n",
+                 error.empty() ? "bad invocation" : error.c_str());
     return harness::kExitTransient;
   }
-  const auto info = apps::resolve_app(args.app);
-  const auto kind = harness::crawler_kind_from_name(args.crawler);
+  const auto info = apps::resolve_app(run.app);
+  const auto kind = harness::crawler_kind_from_name(run.crawler);
   if (!info.has_value() || !kind.has_value()) {
     std::fprintf(stderr, "serve-worker: unknown app or crawler\n");
     return harness::kExitTransient;
   }
-  harness::RunConfig config;
-  config.seed = args.seed;
-  config.budget = static_cast<support::VirtualMillis>(args.budget_ms);
-  if (args.sample_ms > 0) {
-    config.sample_interval = static_cast<support::VirtualMillis>(args.sample_ms);
-  }
-  if (args.think_ms > 0) {
-    config.think_time = static_cast<support::VirtualMillis>(args.think_ms);
-  }
-  config.fill_strategy = static_cast<core::FormFillStrategy>(args.fill);
-  if (!args.fault_spec.empty()) {
-    const auto fault = httpsim::FaultProfile::parse(args.fault_spec);
-    if (!fault.has_value()) {
-      std::fprintf(stderr, "serve-worker: unparsable fault spec\n");
-      return harness::kExitTransient;
-    }
-    config.fault = *fault;
-  }
-  if (!args.drift_spec.empty()) {
-    const auto drift = webapp::DriftProfile::parse(args.drift_spec);
-    if (!drift.has_value()) {
-      std::fprintf(stderr, "serve-worker: unparsable drift spec\n");
-      return harness::kExitTransient;
-    }
-    config.drift = *drift;
-  }
-  if (args.kill_at_step > 0) {
-    // Chaos hook: die the way an external `kill -9` (or the OOM killer)
-    // would — no cleanup, no envelope.
-    const std::size_t kill_at = args.kill_at_step;
-    config.step_hook = [kill_at](std::size_t step) {
-      if (step == kill_at) ::kill(::getpid(), SIGKILL);
-    };
-  } else if (args.hang_at_step > 0) {
+  if (batch.hang_at_step > 0 && run.kill_at_step == 0) {
     // Chaos hook: wedge forever — exercises the parent's stall/deadline
     // recovery (cancel → kCancelled, session survives on last good state).
-    const std::size_t hang_at = args.hang_at_step;
-    config.step_hook = [hang_at](std::size_t step) {
+    run.config.step_hook = [hang_at = batch.hang_at_step](std::size_t step) {
       if (step == hang_at) {
         for (;;) ::pause();
       }
     };
   }
 
-  CrawlSession session(*info, *kind, config);
-  if (!args.state_in.empty()) {
-    const auto contents = sfs::default_fs().read_file(args.state_in);
+  harness::CrawlRun session(*info, *kind, run.config);
+  if (!batch.state_path.empty()) {
+    const auto contents = sfs::default_fs().read_file(batch.state_path);
     if (!contents.has_value()) {
       std::fprintf(stderr, "serve-worker: cannot read state %s\n",
-                   args.state_in.c_str());
+                   batch.state_path.c_str());
       return harness::kExitTransient;
     }
     const auto state = support::json::parse(*contents);
     if (!state.has_value()) {
       std::fprintf(stderr, "serve-worker: corrupt state %s\n",
-                   args.state_in.c_str());
+                   batch.state_path.c_str());
       return harness::kExitTransient;
     }
     session.load_state(*state);
   }
 
   WorkerOutcome outcome;
-  outcome.steps_run = session.step_batch(args.steps);
+  outcome.steps_run = session.step_batch(batch.steps);
   outcome.finished = session.finished();
   if (outcome.finished) {
     outcome.result = session.result();
@@ -299,10 +182,10 @@ int serve_worker_run(int argc, char** argv) {
     outcome.state = session.save_state();
   }
   if (!sfs::write_file_atomic_verified(
-          sfs::default_fs(), args.out_path,
-          encode_serve_outcome(outcome, args.session_id, args.base_step))) {
+          sfs::default_fs(), run.out_path,
+          encode_serve_outcome(outcome, batch.session_id, batch.base_step))) {
     std::fprintf(stderr, "serve-worker: cannot write result file %s\n",
-                 args.out_path.c_str());
+                 run.out_path.c_str());
     return harness::kExitTransient;
   }
   return harness::kExitOk;

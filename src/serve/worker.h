@@ -6,7 +6,7 @@
 //
 //   parent                                child (--serve-worker)
 //   ------                                ----------------------
-//   save_state() → state file             construct CrawlSession
+//   save_state() → state file             construct harness::CrawlRun
 //   spawn /proc/self/exe --serve-worker   load_state(state file)
 //   poll via harness::ProcPool            step_batch(N)
 //   decode envelope, load_state()         write envelope (state or result)
@@ -18,7 +18,9 @@
 // the session suspended on its last good state: deliberate shutdown never
 // loses a session.
 //
-// Result envelope (same shape as the orchestrator's worker files):
+// The argv shares the orchestrator worker's codec (harness::worker_argv)
+// for every run field. The result is a CRC envelope
+// (support::snapshot::seal) bound by session id, base step and kind:
 //   {"magic":"mak-serve-worker","format":1,"session":<id>,"base_step":N,
 //    "kind":"state"|"result","crc32":"<8-hex>","payload":"<json dump>"}
 #pragma once
@@ -31,22 +33,19 @@
 
 #include "apps/catalog.h"
 #include "harness/experiment.h"
+#include "harness/orchestrator.h"
 #include "support/json.h"
 
 namespace mak::serve {
 
 // One dispatch: run `steps` crawl steps of one session in a child process.
 struct WorkerBatch {
-  std::string app;            // catalog name (apps::resolve_app)
-  std::string crawler;        // harness::crawler_kind_from_name
-  harness::RunConfig config;  // fault/drift travel as describe() specs
+  harness::WorkerRun run;  // app, crawler, config, out path, kill-at-step
   std::uint64_t session_id = 0;
   std::size_t base_step = 0;      // session's step count going in
   std::string state_path;         // saved state to resume from ("" = fresh)
   std::size_t steps = 0;          // batch size
-  std::string out_path;           // where the child writes its envelope
-  // Chaos hooks (tests/CI only): die or hang at this absolute step index.
-  std::size_t kill_at_step = 0;
+  // Chaos hook (tests/CI only): hang at this absolute step index.
   std::size_t hang_at_step = 0;
 };
 

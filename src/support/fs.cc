@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "support/log.h"
@@ -300,6 +301,23 @@ bool write_file_atomic_verified(Fs& fs, const std::string& path,
   MAK_LOG_WARN << "fs: atomic write of " << path << " failed after "
                << attempts << " attempts";
   return false;
+}
+
+TempDir::TempDir(std::string_view prefix) {
+  std::error_code error;
+  const auto base = std::filesystem::temp_directory_path(error);
+  if (error) {
+    throw std::runtime_error("no temp dir: " + error.message());
+  }
+  path_ = (base / (std::string(prefix) + "-XXXXXX")).string();
+  if (::mkdtemp(path_.data()) == nullptr) {
+    throw std::runtime_error("mkdtemp failed under " + base.string());
+  }
+}
+
+TempDir::~TempDir() {
+  std::error_code ignored;
+  std::filesystem::remove_all(path_, ignored);
 }
 
 }  // namespace mak::support::fs

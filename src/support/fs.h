@@ -155,4 +155,21 @@ void set_default_fs(Fs* fs);
 bool write_file_atomic_verified(Fs& fs, const std::string& path,
                                 std::string_view contents, int attempts = 8);
 
+// A fresh directory under the system temp dir (TMPDIR), made by mkdtemp as
+// <prefix>-XXXXXX and removed with its contents on destruction, so
+// concurrent processes never share scratch files. Throws
+// std::runtime_error when no directory can be made.
+class TempDir {
+ public:
+  explicit TempDir(std::string_view prefix);
+  ~TempDir();
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
 }  // namespace mak::support::fs

@@ -32,8 +32,6 @@ inline constexpr std::string_view kHttpsimFaultLatencySpikes =
     "httpsim.fault.latency_spikes";
 inline constexpr std::string_view kHttpsimFaultWindowRequests =
     "httpsim.fault.window_requests";
-inline constexpr std::string_view kHttpsimResponseCacheHits =
-    "httpsim.response_cache.hits";
 
 // --- core: browser, crawl loop, frontier --------------------------------
 inline constexpr std::string_view kBrowserInteractions = "browser.interactions";

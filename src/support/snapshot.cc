@@ -241,4 +241,39 @@ std::uint32_t crc32(std::string_view data) noexcept {
   return crc ^ 0xFFFFFFFFu;
 }
 
+std::string crc_hex(std::uint32_t crc) {
+  char buffer[9];
+  std::snprintf(buffer, sizeof(buffer), "%08x", crc);
+  return buffer;
+}
+
+std::string seal(std::string_view magic, int format, json::Object binding,
+                 std::string payload) {
+  binding.emplace("magic", std::string(magic));
+  binding.emplace("format", static_cast<double>(format));
+  binding.emplace("crc32", crc_hex(crc32(payload)));
+  binding.emplace("payload", std::move(payload));
+  return json::dump(json::Value(std::move(binding))) + "\n";
+}
+
+json::Value unseal(std::string_view text, std::string_view magic, int format,
+                   std::string_view what) {
+  const auto fail = [what](std::string_view problem) {
+    return SnapshotError(std::string(what) + ": " + std::string(problem));
+  };
+  auto envelope = json::parse(text);
+  if (!envelope.has_value() || !envelope->is_object()) {
+    throw fail("not a JSON object");
+  }
+  if (require_string(*envelope, "magic") != magic) throw fail("bad magic");
+  if (require_int(*envelope, "format") != format) {
+    throw fail("unsupported format");
+  }
+  if (require_string(*envelope, "crc32") !=
+      crc_hex(crc32(require_string(*envelope, "payload")))) {
+    throw fail("CRC mismatch");
+  }
+  return std::move(*envelope);
+}
+
 }  // namespace mak::support::snapshot

@@ -106,6 +106,31 @@ void stats_from_json(RunningStats& stats, const json::Value& state);
 // CRC-32 (IEEE 802.3, reflected) of a byte string. Guards checkpoint
 // payloads against bit rot and partial writes.
 std::uint32_t crc32(std::string_view data) noexcept;
+// The CRC as 8 lowercase hex digits.
+std::string crc_hex(std::uint32_t crc);
+
+// --- CRC envelope --------------------------------------------------------
+//
+// Every blob written to disk or handed across a process boundary
+// (checkpoint files, worker result files) is one JSON object:
+//
+//   {"magic": M, "format": F, "crc32": "<8-hex>", "payload": "<JSON string>",
+//    <binding fields>}
+//
+// The payload travels as an embedded string so the CRC covers its exact
+// bytes. The binding fields (a config digest, a sequence or repetition
+// number, a session id) tie the file to its producer; the caller that
+// unseals it checks them.
+
+// Envelope text, newline-terminated. `binding` must not use the four keys
+// above.
+std::string seal(std::string_view magic, int format, json::Object binding,
+                 std::string payload);
+// Parses `text` and verifies magic, format and CRC; returns the envelope,
+// whose "payload" string and binding fields the caller reads. Throws
+// SnapshotError naming `what` and the failed check.
+json::Value unseal(std::string_view text, std::string_view magic, int format,
+                   std::string_view what);
 
 }  // namespace snapshot
 

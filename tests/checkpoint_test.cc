@@ -19,6 +19,7 @@
 #include "core/frontier.h"
 #include "core/link_ledger.h"
 #include "harness/checkpoint.h"
+#include "harness/crawl_run.h"
 #include "harness/experiment.h"
 #include "harness/json_report.h"
 #include "httpsim/fault.h"
@@ -391,6 +392,34 @@ TEST(RunResultCodecTest, RejectsMalformedState) {
                SnapshotError);
 }
 
+TEST(EnvelopeTest, SealWritesTheCheckpointLayoutAndUnsealChecksIt) {
+  // Checkpoints, worker result files and serve-worker envelopes all go
+  // through seal: its bytes are the on-disk format of every one of them.
+  support::json::Object binding;
+  binding.emplace("digest", std::string("abcd1234"));
+  binding.emplace("seq", 3.0);
+  const std::string text =
+      support::snapshot::seal("mak-ckpt", 1, std::move(binding), "{\"a\":1}");
+  EXPECT_EQ(text,
+            "{\"crc32\":\"561bacaf\",\"digest\":\"abcd1234\",\"format\":1,"
+            "\"magic\":\"mak-ckpt\",\"payload\":\"{\\\"a\\\":1}\","
+            "\"seq\":3}\n");
+  const auto envelope = support::snapshot::unseal(text, "mak-ckpt", 1, "t");
+  EXPECT_EQ(envelope.find("payload")->as_string(), "{\"a\":1}");
+  EXPECT_EQ(envelope.find("seq")->as_number(), 3.0);
+
+  std::string flipped = text;
+  flipped[flipped.find(":1}") + 1] = '2';  // payload byte, CRC left as is
+  EXPECT_THROW(support::snapshot::unseal(flipped, "mak-ckpt", 1, "t"),
+               SnapshotError);
+  EXPECT_THROW(support::snapshot::unseal(text, "mak-worker", 1, "t"),
+               SnapshotError);
+  EXPECT_THROW(support::snapshot::unseal(text, "mak-ckpt", 2, "t"),
+               SnapshotError);
+  EXPECT_THROW(support::snapshot::unseal("[]", "mak-ckpt", 1, "t"),
+               SnapshotError);
+}
+
 TEST(RunDigestTest, BindsConfigurationIdentity) {
   const RunConfig config = quick_config();
   const auto& app = info_of("AddressBook");
@@ -561,6 +590,100 @@ TEST(CheckpointResumeTest, RunResumableMatchesRunOnce) {
   const RunResult reference =
       run_once(info_of("AddressBook"), CrawlerKind::kMak, quick_config(0xabc));
   EXPECT_EQ(state_bytes(resumed), state_bytes(reference));
+}
+
+// ------------------------------------------------------ the crawl engine
+//
+// run_once, the session server and both worker children all step one
+// CrawlRun. These tests step it in batches, suspend and resume it, and
+// check it against run_once's straight-through path.
+
+RunConfig engine_config(std::uint64_t seed = 0x5eed) {
+  RunConfig config;
+  config.budget = 20000;
+  config.seed = seed;
+  return config;
+}
+
+RunResult step_to_budget(CrawlRun& run, std::size_t batch) {
+  while (!run.finished()) run.step_batch(batch);
+  return run.result();
+}
+
+TEST(CrawlRun, BatchedSteppingMatchesRunOnce) {
+  const RunConfig config = engine_config();
+  CrawlRun run(info_of("Drupal"), CrawlerKind::kMak, config);
+  EXPECT_EQ(state_bytes(step_to_budget(run, 3)),
+            state_bytes(run_once(info_of("Drupal"), CrawlerKind::kMak,
+                                 config)));
+}
+
+TEST(CrawlRun, EquivalenceHoldsUnderFaultAndDrift) {
+  RunConfig config = engine_config(0xfa17);
+  config.fault = *httpsim::FaultProfile::parse("heavy");
+  config.drift = *webapp::DriftProfile::parse("moderate");
+  CrawlRun run(info_of("Drupal"), CrawlerKind::kMak, config);
+  EXPECT_EQ(state_bytes(step_to_budget(run, 7)),
+            state_bytes(run_once(info_of("Drupal"), CrawlerKind::kMak,
+                                 config)));
+}
+
+TEST(CrawlRun, SuspendResumeIsByteIdentical) {
+  const RunConfig config = engine_config(0xabcd);
+  CrawlRun straight(info_of("Drupal"), CrawlerKind::kMak, config);
+  const RunResult reference = step_to_budget(straight, 100);
+
+  CrawlRun first(info_of("Drupal"), CrawlerKind::kMak, config);
+  first.step_batch(5);
+  ASSERT_FALSE(first.finished());
+  CrawlRun second(info_of("Drupal"), CrawlerKind::kMak, config);
+  second.load_state(first.save_state());
+  EXPECT_EQ(state_bytes(step_to_budget(second, 100)), state_bytes(reference));
+}
+
+TEST(CrawlRun, UnfinishedResultIsMarkedAborted) {
+  CrawlRun run(info_of("Drupal"), CrawlerKind::kMak, engine_config());
+  run.step_batch(2);
+  const RunResult partial = run.result("why");
+  EXPECT_TRUE(partial.aborted);
+  EXPECT_EQ(partial.abort_reason, "why");
+  EXPECT_EQ(partial.steps, 2u);
+}
+
+TEST(CrawlRun, NonSnapshotCrawlerRefusesStateCapture) {
+  CrawlRun run(info_of("Drupal"), CrawlerKind::kWebExplor, engine_config());
+  run.step_batch(1);
+  EXPECT_FALSE(run.snapshot_capable());
+  EXPECT_THROW(run.save_state(), std::logic_error);
+}
+
+TEST(CrawlRun, ResumesTheRunStateOfAMidRunCheckpoint) {
+  // A mid-run checkpoint of run_resumable holds the engine's own state, so
+  // the engine the session server steps picks the run up where it stopped.
+  const std::string dir = scratch_dir("engine_interchange");
+  const RunConfig plain = quick_config(0xabc);
+  RunConfig config = plain;
+  config.checkpoint.dir = dir;
+  config.checkpoint.every_steps = 9;
+  config.checkpoint.interval = 0;
+  RunConfig crashing = config;
+  crashing.crash_at_step = 50;
+  EXPECT_THROW(
+      run_resumable(info_of("AddressBook"), CrawlerKind::kMak, crashing),
+      InjectedCrash);
+
+  CheckpointManager manager(
+      config.checkpoint,
+      run_digest(info_of("AddressBook"), CrawlerKind::kMak, config, 1));
+  const auto checkpoint = manager.restore();
+  ASSERT_TRUE(checkpoint.has_value());
+  ASSERT_TRUE(checkpoint->run.has_value());
+  CrawlRun run(info_of("AddressBook"), CrawlerKind::kMak, plain);
+  run.load_state(*checkpoint->run);
+  EXPECT_EQ(run.steps(), 45u);
+  EXPECT_EQ(state_bytes(step_to_budget(run, 7)),
+            state_bytes(run_once(info_of("AddressBook"), CrawlerKind::kMak,
+                                 plain)));
 }
 
 // -------------------------------------------------- corruption resilience

@@ -260,11 +260,5 @@ TEST(ProtocolTest, EnvironmentOverrides) {
   unsetenv("MAK_SAMPLE_SECONDS");
 }
 
-TEST(ProtocolTest, GarbageEnvFallsBack) {
-  setenv("MAK_REPS", "garbage", 1);
-  EXPECT_EQ(protocol_from_env().repetitions, 10u);
-  unsetenv("MAK_REPS");
-}
-
 }  // namespace
 }  // namespace mak::harness

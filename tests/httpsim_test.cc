@@ -263,44 +263,6 @@ TEST_F(NetworkTest, RequestCountIncludesRedirectHops) {
   EXPECT_EQ(network_.request_count(), 2u);
 }
 
-TEST_F(NetworkTest, ResponseCacheIsOffByDefault) {
-  EXPECT_FALSE(network_.response_cache_enabled());
-  network_.fetch(Method::kGet, *url::parse("http://h.test/x"), url::QueryMap{},
-                 jar_);
-  network_.fetch(Method::kGet, *url::parse("http://h.test/x"), url::QueryMap{},
-                 jar_);
-  EXPECT_EQ(host_.requests, 2);  // every fetch reaches the host
-  EXPECT_EQ(network_.response_cache_size(), 0u);
-}
-
-TEST_F(NetworkTest, ResponseCacheReplaysIdenticalRequestsWithoutDispatch) {
-  network_.set_response_cache_enabled(true);
-  const auto first = network_.fetch(Method::kGet, *url::parse("http://h.test/x"),
-                                    url::QueryMap{}, jar_);
-  const auto second = network_.fetch(
-      Method::kGet, *url::parse("http://h.test/x"), url::QueryMap{}, jar_);
-  EXPECT_EQ(host_.requests, 1);  // replayed from cache
-  EXPECT_EQ(network_.request_count(), 1u);
-  EXPECT_EQ(second.response.body, first.response.body);
-  EXPECT_EQ(second.response.status, first.response.status);
-
-  // A different path, method or form is a different key.
-  network_.fetch(Method::kGet, *url::parse("http://h.test/y"), url::QueryMap{},
-                 jar_);
-  EXPECT_EQ(host_.requests, 2);
-  url::QueryMap form;
-  form.add("a", "1");
-  network_.fetch(Method::kPost, *url::parse("http://h.test/x"), form, jar_);
-  EXPECT_EQ(host_.requests, 3);
-
-  // Disabling clears the cache; the next fetch dispatches again.
-  network_.set_response_cache_enabled(false);
-  EXPECT_EQ(network_.response_cache_size(), 0u);
-  network_.fetch(Method::kGet, *url::parse("http://h.test/x"), url::QueryMap{},
-                 jar_);
-  EXPECT_EQ(host_.requests, 4);
-}
-
 // ------------------------------------------------ network under injection
 
 TEST_F(NetworkTest, InjectedErrorPreemptsRedirectLoopDuringWindow) {

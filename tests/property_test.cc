@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -482,6 +483,13 @@ struct DeterminismCase {
   const char* app;
   harness::CrawlerKind kind;
 };
+
+// Test listings (and the ctest names gtest_discover_tests derives from
+// them) show the parameter through this; gtest's default would print the
+// struct's raw bytes, pointers included, which change with every build.
+void PrintTo(const DeterminismCase& c, std::ostream* os) {
+  *os << c.app << '/' << harness::to_string(c.kind);
+}
 
 class CrawlDeterminismTest
     : public ::testing::TestWithParam<DeterminismCase> {};

@@ -17,7 +17,6 @@
 #include "harness/supervisor.h"
 #include "serve/admission.h"
 #include "serve/server.h"
-#include "serve/session.h"
 #include "serve/worker.h"
 #include "support/env.h"
 #include "support/fs.h"
@@ -29,7 +28,6 @@ using mak::harness::CrawlerKind;
 using mak::harness::FailureClass;
 using mak::harness::RunConfig;
 using mak::harness::RunResult;
-using mak::serve::CrawlSession;
 using mak::serve::IsolationTier;
 using mak::serve::OpenRequest;
 using mak::serve::Reject;
@@ -65,62 +63,6 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(a.series.points()[i].covered_lines,
               b.series.points()[i].covered_lines);
   }
-}
-
-// --------------------------------------------------------- CrawlSession
-
-TEST(CrawlSession, BatchedSteppingMatchesRunOnce) {
-  const RunConfig config = short_config();
-  const RunResult reference =
-      mak::harness::run_once(test_app(), CrawlerKind::kMak, config);
-
-  CrawlSession session(test_app(), CrawlerKind::kMak, config);
-  while (!session.finished()) session.step_batch(3);
-  expect_same_result(session.result(), reference);
-}
-
-TEST(CrawlSession, EquivalenceHoldsUnderFaultAndDrift) {
-  RunConfig config = short_config(0xfa17);
-  config.fault = *mak::httpsim::FaultProfile::parse("heavy");
-  config.drift = *mak::webapp::DriftProfile::parse("moderate");
-  const RunResult reference =
-      mak::harness::run_once(test_app(), CrawlerKind::kMak, config);
-
-  CrawlSession session(test_app(), CrawlerKind::kMak, config);
-  while (!session.finished()) session.step_batch(7);
-  expect_same_result(session.result(), reference);
-}
-
-TEST(CrawlSession, SuspendResumeIsByteIdentical) {
-  const RunConfig config = short_config(0xabcd);
-  CrawlSession straight(test_app(), CrawlerKind::kMak, config);
-  while (!straight.finished()) straight.step_batch(100);
-
-  CrawlSession first(test_app(), CrawlerKind::kMak, config);
-  first.step_batch(5);
-  ASSERT_FALSE(first.finished());
-  const auto blob = first.save_state();
-
-  CrawlSession second(test_app(), CrawlerKind::kMak, config);
-  second.load_state(blob);
-  while (!second.finished()) second.step_batch(100);
-  expect_same_result(second.result(), straight.result());
-}
-
-TEST(CrawlSession, UnfinishedResultIsMarkedAborted) {
-  CrawlSession session(test_app(), CrawlerKind::kMak, short_config());
-  session.step_batch(2);
-  const RunResult partial = session.result("why");
-  EXPECT_TRUE(partial.aborted);
-  EXPECT_EQ(partial.abort_reason, "why");
-  EXPECT_EQ(partial.steps, 2u);
-}
-
-TEST(CrawlSession, NonSnapshotCrawlerRefusesStateCapture) {
-  CrawlSession session(test_app(), CrawlerKind::kWebExplor, short_config());
-  session.step_batch(1);
-  EXPECT_FALSE(session.snapshot_capable());
-  EXPECT_THROW(session.save_state(), std::logic_error);
 }
 
 // -------------------------------------------------------- session server
@@ -718,6 +660,29 @@ TEST_F(EnvValidationTest, OutOfRangeFailsFastNamingTheRange) {
   // require_count's floor is 1: zero workers can run nothing.
   EXPECT_THROW(mak::support::env::require_count("MAK_TEST_KNOB", 7, 100),
                std::invalid_argument);
+}
+
+TEST_F(EnvValidationTest, ProtocolKnobFailsFastNamingTheRange) {
+  // A typo must not silently run the paper's default protocol.
+  ::setenv("MAK_REPS", "garbage", 1);
+  EXPECT_THROW(mak::harness::protocol_from_env(), std::invalid_argument);
+  EXPECT_NE(failure_.find("MAK_REPS"), std::string::npos);
+  EXPECT_NE(failure_.find("[1, 100000]"), std::string::npos);
+  ::setenv("MAK_REPS", "0", 1);
+  EXPECT_THROW(mak::harness::protocol_from_env(), std::invalid_argument);
+  ::setenv("MAK_REPS", "", 1);
+  EXPECT_EQ(mak::harness::protocol_from_env().repetitions, 10u);
+  ::unsetenv("MAK_REPS");
+}
+
+TEST_F(EnvValidationTest, ThreadsKnobFailsFastNamingTheRange) {
+  ::setenv("MAK_THREADS", "4x", 1);
+  EXPECT_THROW(mak::harness::run_repeated(test_app(), CrawlerKind::kMak,
+                                          short_config(), 2),
+               std::invalid_argument);
+  EXPECT_NE(failure_.find("MAK_THREADS"), std::string::npos);
+  EXPECT_NE(failure_.find("[1, 4096]"), std::string::npos);
+  ::unsetenv("MAK_THREADS");
 }
 
 TEST_F(EnvValidationTest, ServeConfigReadsValidatedKnobs) {

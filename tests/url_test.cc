@@ -1,3 +1,5 @@
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "url/url.h"
@@ -187,6 +189,13 @@ struct ResolveCase {
   const char* ref;
   const char* expected;
 };
+
+// Test listings (and the ctest names gtest_discover_tests derives from
+// them) show the parameter through this; gtest's default would print the
+// struct's raw bytes, pointers included, which change with every build.
+void PrintTo(const ResolveCase& c, std::ostream* os) {
+  *os << '"' << c.ref << '"';
+}
 
 class ResolveRfcTest : public ::testing::TestWithParam<ResolveCase> {};
 

@@ -14,6 +14,7 @@
 // Every command echoes a deterministic result line, so a script's full
 // output can be golden-tested. The server is configured from MAK_SERVE_*
 // (serve/admission.h); scripts arrive on stdin or as a file argument.
+// Process-tier state lives in a per-run directory under TMPDIR.
 //
 //   mak_serve [script-file]
 #include <cstdio>
@@ -25,6 +26,7 @@
 
 #include "serve/server.h"
 #include "serve/worker.h"
+#include "support/fs.h"
 #include "support/snapshot.h"
 #include "support/strings.h"
 
@@ -55,8 +57,10 @@ bool split_option(const std::string& token, std::string& key,
 }
 
 int run_script(std::istream& in) {
-  SessionServer server(mak::serve::server_from_env(),
-                       "/tmp/mak-serve-scratch");
+  // Process-tier state files go to a fresh directory of this run, removed
+  // at exit, so concurrent runs never share them.
+  const mak::support::fs::TempDir scratch("mak-serve");
+  SessionServer server(mak::serve::server_from_env(), scratch.path());
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
